@@ -1,5 +1,6 @@
 //! Micro-benchmarks of the crossbar substrate: MAGIC gate execution,
-//! multi-input NOR, aggregation-circuit application.
+//! multi-input NOR, aggregation-circuit application (SUM/MIN/MAX and the
+//! counted variant) on the paper's 1024×512 crossbar geometry.
 
 use bbpim_sim::aggcircuit::AggRequest;
 use bbpim_sim::compiler::reduce::ReduceOp;
@@ -44,21 +45,68 @@ fn bench_multi_nor(c: &mut Criterion) {
     });
 }
 
-fn bench_agg_circuit(c: &mut Criterion) {
-    let req = AggRequest {
-        op: ReduceOp::Sum,
-        value: ColRange::new(0, 32),
-        mask_col: 40,
-        dst_row: 0,
-        dst: ColRange::new(448, 48),
-    };
-    c.bench_function("crossbar/agg_circuit_apply_1024_rows", |b| {
+/// A 300-op program shaped like a compiled filter: range-compare
+/// gates over a 32-bit attribute folded by multi-input NORs.
+fn filter_sized_program() -> Microprogram {
+    let mut prog = Microprogram::new();
+    let mut i = 0;
+    while prog.cycles() < 298 {
+        prog.gate_nor(i % 32, 32 + (i % 8), 64 + (i % 64));
+        if i % 16 == 15 {
+            prog.init_col(130);
+            prog.nor_many_cols((64..80).collect(), 130);
+        }
+        i += 1;
+    }
+    prog.gate_not(130, 131);
+    prog
+}
+
+fn bench_filter_program(c: &mut Criterion) {
+    let prog = filter_sized_program();
+    assert_eq!(prog.cycles(), 300);
+    c.bench_function("crossbar/300_op_filter_program_1024x512", |b| {
         let mut xb = paper_crossbar();
         b.iter(|| {
-            black_box(req.apply(&mut xb).unwrap());
+            black_box(xb.execute(&prog).unwrap());
         })
     });
 }
 
-criterion_group!(benches, bench_gate_program, bench_multi_nor, bench_agg_circuit);
+fn agg_request(op: ReduceOp) -> AggRequest {
+    AggRequest {
+        op,
+        value: ColRange::new(0, 32),
+        mask_col: 40,
+        dst_row: 0,
+        dst: ColRange::new(448, 48),
+    }
+}
+
+fn bench_agg_circuit(c: &mut Criterion) {
+    for (name, op) in [("apply", ReduceOp::Sum), ("min", ReduceOp::Min), ("max", ReduceOp::Max)] {
+        let req = agg_request(op);
+        c.bench_function(&format!("crossbar/agg_circuit_{name}_1024_rows"), |b| {
+            let mut xb = paper_crossbar();
+            b.iter(|| {
+                black_box(req.apply(&mut xb).unwrap());
+            })
+        });
+    }
+    let req = agg_request(ReduceOp::Sum);
+    c.bench_function("crossbar/agg_circuit_apply_counted_1024_rows", |b| {
+        let mut xb = paper_crossbar();
+        b.iter(|| {
+            black_box(req.apply_counted(&mut xb, ColRange::new(496, 16)).unwrap());
+        })
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_gate_program,
+    bench_multi_nor,
+    bench_filter_program,
+    bench_agg_circuit
+);
 criterion_main!(benches);

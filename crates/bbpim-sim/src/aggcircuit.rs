@@ -11,10 +11,16 @@
 //! ([`crate::compiler::reduce`]) this trades ~13 k logic cycles of cell
 //! writes for ~2 k cell *reads* — the source of the paper's 1.83×
 //! latency, 4.31× energy and 3.21× lifetime improvements.
+//!
+//! The simulator computes the circuit's result functionally with the
+//! bit-sliced kernel [`crate::bitmat::BitMatrix::masked_reduce_cols`]
+//! (and the count register with a mask popcount), which folds all rows
+//! of the crossbar 64 at a time; the serial row-by-row read stream the
+//! hardware performs is charged by [`AggRequest::cost`] alone.
 
 use serde::{Deserialize, Serialize};
 
-use crate::compiler::reduce::{masked_reduce, ReduceOp};
+use crate::compiler::reduce::ReduceOp;
 use crate::compiler::ColRange;
 use crate::config::SimConfig;
 use crate::crossbar::Crossbar;
@@ -86,7 +92,48 @@ impl AggRequest {
                 self.dst_row
             )));
         }
+        if self.overlaps_source(self.dst) {
+            return Err(SimError::InvalidAggregation(
+                "result slot overlaps the value or mask column".into(),
+            ));
+        }
         Ok(())
+    }
+
+    /// [`AggRequest::validate`] plus the count slot of
+    /// [`AggRequest::apply_counted`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidAggregation`] as
+    /// [`AggRequest::validate`] does, or for a count slot that is empty,
+    /// wider than 64 bits, out of range, or overlapping the result slot,
+    /// the value or the mask column.
+    pub fn validate_counted(
+        &self,
+        rows: usize,
+        cols: usize,
+        count_dst: ColRange,
+    ) -> Result<(), SimError> {
+        self.validate(rows, cols)?;
+        if overlaps(count_dst, self.dst) {
+            return Err(SimError::InvalidAggregation("count slot overlaps the result slot".into()));
+        }
+        if count_dst.width == 0 || count_dst.width > 64 || count_dst.end() > cols {
+            return Err(SimError::InvalidAggregation("bad count slot".into()));
+        }
+        if self.overlaps_source(count_dst) {
+            return Err(SimError::InvalidAggregation(
+                "count slot overlaps the value or mask column".into(),
+            ));
+        }
+        Ok(())
+    }
+
+    /// True when `slot` shares a column with the aggregated value or the
+    /// mask.
+    fn overlaps_source(&self, slot: ColRange) -> bool {
+        overlaps(slot, self.value) || overlaps(slot, ColRange::new(self.mask_col, 1))
     }
 
     /// Cost of this request on one crossbar.
@@ -113,28 +160,16 @@ impl AggRequest {
     ///
     /// # Errors
     ///
-    /// Propagates [`AggRequest::validate`]; the count slot must not
-    /// overlap the value slot.
+    /// Propagates [`AggRequest::validate_counted`]: the count slot must
+    /// not overlap the result slot, the value or the mask column.
     pub fn apply_counted(
         &self,
         xb: &mut Crossbar,
         count_dst: ColRange,
     ) -> Result<(u64, u64), SimError> {
-        if count_dst.lo < self.dst.end() && self.dst.lo < count_dst.end() {
-            return Err(SimError::InvalidAggregation("count slot overlaps the value slot".into()));
-        }
-        if count_dst.width == 0 || count_dst.end() > xb.cols() {
-            return Err(SimError::InvalidAggregation("bad count slot".into()));
-        }
+        self.validate_counted(xb.rows(), xb.cols(), count_dst)?;
         let value = self.apply(xb)?;
-        let mut count = 0u64;
-        for r in 0..xb.rows() {
-            if xb.bits().get(r, self.mask_col) {
-                count += 1;
-            }
-        }
-        let wrapped =
-            if count_dst.width >= 64 { count } else { count & ((1 << count_dst.width) - 1) };
+        let wrapped = xb.bits().popcount_col(self.mask_col) as u64 & low_bits(count_dst.width);
         xb.bits_mut_unaccounted().write_row_bits(
             self.dst_row,
             count_dst.lo,
@@ -162,22 +197,34 @@ impl AggRequest {
     /// Propagates [`AggRequest::validate`].
     pub fn apply(&self, xb: &mut Crossbar) -> Result<u64, SimError> {
         self.validate(xb.rows(), xb.cols())?;
-        let rows = xb.rows();
-        let mut values = Vec::with_capacity(rows);
-        let mut mask = Vec::with_capacity(rows);
-        for r in 0..rows {
-            values.push(xb.read_row_bits(r, self.value.lo, self.value.width));
-            mask.push(xb.bits().get(r, self.mask_col));
-        }
-        // The ALU register is dst.width wide; MIN's identity must match it.
-        let wrapped: Vec<u64> = values.to_vec();
-        let result = masked_reduce(&wrapped, &mask, self.dst.width.max(self.value.width), self.op);
-        let result =
-            if self.dst.width == 64 { result } else { result & ((1u64 << self.dst.width) - 1) };
+        let result = self.reduce(xb);
         xb.bits_mut_unaccounted().write_row_bits(self.dst_row, self.dst.lo, self.dst.width, result);
         xb.note_row_writes(self.dst_row, self.dst.width as u64);
         Ok(result)
     }
+
+    /// The (width-wrapped) result this request leaves in the result
+    /// slot of `xb`, without writing it. The ALU register is
+    /// `max(dst, value)` bits wide, so MIN's identity matches it.
+    pub(crate) fn reduce(&self, xb: &Crossbar) -> u64 {
+        let width = self.dst.width.max(self.value.width);
+        xb.bits().masked_reduce_cols(self.value, self.mask_col, width, self.op)
+            & low_bits(self.dst.width)
+    }
+}
+
+/// Mask of the low `width ≤ 64` bits.
+fn low_bits(width: usize) -> u64 {
+    if width >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << width) - 1
+    }
+}
+
+/// True when two column ranges share a column.
+fn overlaps(a: ColRange, b: ColRange) -> bool {
+    a.lo < b.end() && b.lo < a.end()
 }
 
 /// Number of 16-bit read chunks a column range spans (alignment-aware).
@@ -278,6 +325,23 @@ mod tests {
         let mut req = request();
         req.value = ColRange::new(0, 0);
         assert!(req.validate(64, 64).is_err());
+    }
+
+    #[test]
+    fn validate_rejects_destination_overlapping_the_source() {
+        let mut req = request();
+        req.dst = ColRange::new(8, 16); // inside the value columns 0..16
+        assert!(req.validate(64, 64).is_err());
+        let mut req = request();
+        req.dst = ColRange::new(16, 8); // covers the mask column 20
+        assert!(req.validate(64, 64).is_err());
+        let req = request();
+        req.validate(64, 64).unwrap();
+        let mut xb = Crossbar::new(64, 64);
+        // A count slot over the value or the mask column is refused too.
+        assert!(req.apply_counted(&mut xb, ColRange::new(12, 8)).is_err());
+        assert!(req.apply_counted(&mut xb, ColRange::new(20, 4)).is_err());
+        assert!(req.apply_counted(&mut xb, ColRange::new(24, 8)).is_ok());
     }
 
     #[test]

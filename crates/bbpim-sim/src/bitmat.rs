@@ -5,8 +5,21 @@
 //! is column-major: one column of cells is a contiguous `[u64]` bit
 //! vector and a column-parallel MAGIC NOR is a handful of word ops.
 //!
+//! The same layout makes the aggregation kernels word-parallel:
+//! [`BitMatrix::masked_reduce_cols`] treats an attribute's columns as
+//! bit slices and folds all rows 64 at a time. SUM is
+//! `Σ_b popcount(col_b & mask) · 2^b`; MIN/MAX walk the bits MSB-first,
+//! narrowing a candidate bitmap of the selected rows to those holding
+//! the wanted bit whenever any candidate does; COUNT is
+//! `popcount(mask)` ([`BitMatrix::popcount_col`]). Results equal
+//! [`crate::compiler::reduce::masked_reduce`] over the gathered rows,
+//! without ever reading a row.
+//!
 //! [`BitMatrix`] is purely functional storage — timing, energy and
 //! endurance accounting live in [`crate::crossbar::Crossbar`].
+
+use crate::compiler::reduce::ReduceOp;
+use crate::compiler::ColRange;
 
 /// A `rows × cols` bit matrix stored column-major.
 ///
@@ -167,6 +180,88 @@ impl BitMatrix {
     /// Count set cells in a column.
     pub fn popcount_col(&self, col: usize) -> usize {
         self.col(col).iter().map(|w| w.count_ones() as usize).sum()
+    }
+
+    /// Bit-sliced masked reduction: fold the values stored LSB-first in
+    /// the columns of `value` over the rows whose `mask_col` cell is set,
+    /// at a `width`-bit modulus.
+    ///
+    /// Bit-identical to [`crate::compiler::reduce::masked_reduce`] over
+    /// the gathered rows: values are taken mod `2^width`, SUM wraps,
+    /// and an empty selection yields the identity (0 for SUM/MAX,
+    /// `2^width − 1` for MIN).
+    ///
+    /// ```
+    /// use bbpim_sim::bitmat::BitMatrix;
+    /// use bbpim_sim::compiler::reduce::ReduceOp;
+    /// use bbpim_sim::compiler::ColRange;
+    /// let mut m = BitMatrix::new(64, 9);
+    /// for (row, v) in [(0, 5u64), (1, 9), (2, 3)] {
+    ///     m.write_row_bits(row, 0, 8, v);
+    ///     m.set(row, 8, row != 1); // select rows 0 and 2
+    /// }
+    /// let value = ColRange::new(0, 8);
+    /// assert_eq!(m.masked_reduce_cols(value, 8, 8, ReduceOp::Sum), 8);
+    /// assert_eq!(m.masked_reduce_cols(value, 8, 8, ReduceOp::Min), 3);
+    /// assert_eq!(m.masked_reduce_cols(value, 8, 8, ReduceOp::Max), 5);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is not in `1..=64` or a column is out of range.
+    pub fn masked_reduce_cols(
+        &self,
+        value: ColRange,
+        mask_col: usize,
+        width: usize,
+        op: ReduceOp,
+    ) -> u64 {
+        assert!(width > 0 && width <= 64, "width must be in 1..=64");
+        assert!(value.end() <= self.cols && mask_col < self.cols, "columns out of range");
+        let modulus = if width == 64 { u64::MAX } else { (1u64 << width) - 1 };
+        // Bits at or above the modulus are masked off before the fold.
+        let bits = value.width.min(width);
+        let mask = self.col(mask_col);
+        match op {
+            ReduceOp::Sum => {
+                let mut acc = 0u64;
+                for b in 0..bits {
+                    let ones: u64 = self
+                        .col(value.lo + b)
+                        .iter()
+                        .zip(mask)
+                        .map(|(v, m)| u64::from((v & m).count_ones()))
+                        .sum();
+                    acc = acc.wrapping_add(ones << b);
+                }
+                acc & modulus
+            }
+            ReduceOp::Min | ReduceOp::Max => {
+                let is_max = op == ReduceOp::Max;
+                if mask.iter().all(|m| *m == 0) {
+                    return if is_max { 0 } else { modulus };
+                }
+                // MAX keeps the candidates holding a 1 at each bit, MIN
+                // those holding a 0; when none does, every candidate
+                // shares the other bit value and the set stays put.
+                let mut cand = mask.to_vec();
+                let mut result = 0u64;
+                for b in (0..bits).rev() {
+                    let col = self.col(value.lo + b);
+                    let want = |v: u64| if is_max { v } else { !v };
+                    let found = cand.iter().zip(col).any(|(c, v)| c & want(*v) != 0);
+                    if found {
+                        for (c, v) in cand.iter_mut().zip(col) {
+                            *c &= want(*v);
+                        }
+                    }
+                    if found == is_max {
+                        result |= 1 << b;
+                    }
+                }
+                result
+            }
+        }
     }
 
     /// Iterate the row indices whose cell in `col` is set.

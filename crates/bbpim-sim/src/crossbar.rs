@@ -6,6 +6,17 @@
 //! [`Microprogram`]s gate-by-gate on its real bits and keeps count of the
 //! cell writes each row has experienced, which feeds the paper's
 //! endurance analysis (Fig. 9).
+//!
+//! # Wear representation
+//!
+//! A column op writes one cell in *every* row, so most wear is uniform
+//! across the rows. The counters are therefore kept as one shared
+//! `uniform_writes` offset plus a per-row delta for the writes that hit
+//! single rows (row ops, host writes, result write-backs): row `r` has
+//! taken `uniform_writes + row_writes[r]` cell writes. A column op costs
+//! one increment instead of a pass over every row, and because deltas
+//! only grow between resets, the largest delta is maintained on the fly
+//! so [`Crossbar::max_row_cell_writes`] is O(1) too.
 
 use crate::bitmat::BitMatrix;
 use crate::error::SimError;
@@ -42,9 +53,15 @@ pub struct ExecSummary {
 #[derive(Debug, Clone)]
 pub struct Crossbar {
     bits: BitMatrix,
-    /// Cumulative cell writes per row (wear-leveling spreads them over
-    /// the row's cells, per the paper's endurance assumption).
-    row_cell_writes: Vec<u64>,
+    /// Cell writes every row has taken (column ops and modeled
+    /// column-parallel work).
+    uniform_writes: u64,
+    /// Per-row cell writes on top of `uniform_writes` (wear-leveling
+    /// spreads them over the row's cells, per the paper's endurance
+    /// assumption).
+    row_writes: Vec<u64>,
+    /// `max(row_writes)`, kept current on every per-row write.
+    max_row_writes: u64,
 }
 
 impl Crossbar {
@@ -55,7 +72,12 @@ impl Crossbar {
     /// Panics if `rows` is not a positive multiple of 64 or `cols` is 0
     /// (see [`BitMatrix::new`]).
     pub fn new(rows: usize, cols: usize) -> Self {
-        Crossbar { bits: BitMatrix::new(rows, cols), row_cell_writes: vec![0; rows] }
+        Crossbar {
+            bits: BitMatrix::new(rows, cols),
+            uniform_writes: 0,
+            row_writes: vec![0; rows],
+            max_row_writes: 0,
+        }
     }
 
     /// Rows (records) in this crossbar.
@@ -93,49 +115,43 @@ impl Crossbar {
     /// cells outside this crossbar.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
         program.validate(self.rows(), self.cols())?;
+        Ok(self.execute_validated(program))
+    }
+
+    /// [`Crossbar::execute`] for a program already validated against this
+    /// crossbar's geometry — the page runs its lock-step crossbars
+    /// through here after validating once.
+    pub(crate) fn execute_validated(&mut self, program: &Microprogram) -> ExecSummary {
+        let (rows, cols) = (self.rows(), self.cols());
         let mut cells = 0u64;
         for op in program.ops() {
             match *op {
-                MicroOp::InitCol { dst } => {
-                    self.bits.fill_col(dst, true);
-                    for w in self.row_cell_writes.iter_mut() {
-                        *w += 1;
-                    }
-                    cells += self.rows() as u64;
-                }
-                MicroOp::NorCols { a, b, dst } => {
-                    self.bits.magic_nor_cols(a, b, dst);
-                    for w in self.row_cell_writes.iter_mut() {
-                        *w += 1;
-                    }
-                    cells += self.rows() as u64;
-                }
+                MicroOp::InitCol { dst } => self.bits.fill_col(dst, true),
+                MicroOp::NorCols { a, b, dst } => self.bits.magic_nor_cols(a, b, dst),
                 MicroOp::NorManyCols { ref inputs, dst } => {
-                    self.bits.magic_nor_many_cols(inputs, dst);
-                    for w in self.row_cell_writes.iter_mut() {
-                        *w += 1;
-                    }
-                    cells += self.rows() as u64;
+                    self.bits.magic_nor_many_cols(inputs, dst)
                 }
                 MicroOp::InitRow { dst } => {
                     self.bits.fill_row(dst, true);
-                    self.row_cell_writes[dst] += self.cols() as u64;
-                    cells += self.cols() as u64;
+                    self.note_row_writes(dst, cols as u64);
                 }
                 MicroOp::NorRows { a, b, dst } => {
                     self.bits.magic_nor_rows(a, b, dst);
-                    self.row_cell_writes[dst] += self.cols() as u64;
-                    cells += self.cols() as u64;
+                    self.note_row_writes(dst, cols as u64);
                 }
             }
+            if op.is_column_op() {
+                self.uniform_writes += 1;
+            }
+            cells += op.cells_written(rows, cols);
         }
-        Ok(ExecSummary { cycles: program.cycles(), cells_written: cells })
+        ExecSummary { cycles: program.cycles(), cells_written: cells }
     }
 
     /// Host/loader write of `width` bits into a row (endurance-counted).
     pub fn write_row_bits(&mut self, row: usize, col_lo: usize, width: usize, value: u64) {
         self.bits.write_row_bits(row, col_lo, width, value);
-        self.row_cell_writes[row] += width as u64;
+        self.note_row_writes(row, width as u64);
     }
 
     /// Read `width ≤ 64` bits of a row (no endurance impact).
@@ -148,25 +164,27 @@ impl Crossbar {
     /// reduction trees) that mutate bits through
     /// [`Crossbar::bits_mut_unaccounted`].
     pub fn note_row_writes(&mut self, row: usize, width: u64) {
-        self.row_cell_writes[row] += width;
+        let w = &mut self.row_writes[row];
+        *w += width;
+        self.max_row_writes = self.max_row_writes.max(*w);
     }
 
     /// Record `per_row` cell writes against *every* row (modeled
     /// column-parallel work).
     pub fn note_all_rows_writes(&mut self, per_row: u64) {
-        for w in self.row_cell_writes.iter_mut() {
-            *w += per_row;
-        }
+        self.uniform_writes += per_row;
     }
 
     /// The largest cell-write count any row has accumulated.
     pub fn max_row_cell_writes(&self) -> u64 {
-        self.row_cell_writes.iter().copied().max().unwrap_or(0)
+        self.uniform_writes + self.max_row_writes
     }
 
     /// Reset endurance counters (e.g. after load, before measuring a query).
     pub fn reset_endurance(&mut self) {
-        self.row_cell_writes.iter_mut().for_each(|w| *w = 0);
+        self.uniform_writes = 0;
+        self.row_writes.fill(0);
+        self.max_row_writes = 0;
     }
 }
 

@@ -10,7 +10,7 @@
 //! per chip, which determines the per-chip power draw.
 
 use crate::aggcircuit::AggRequest;
-use crate::compiler::reduce::{masked_reduce, reduce_cost};
+use crate::compiler::reduce::reduce_cost;
 use crate::config::SimConfig;
 use crate::error::SimError;
 use crate::hostmem;
@@ -181,7 +181,7 @@ impl PimModule {
         let mut cells_total = 0u64;
         for id in pages {
             self.try_page(*id)?;
-            let summary = self.pages[id.0].execute(program)?;
+            let summary = self.pages[id.0].execute_validated(program);
             cells_total += summary.cells_written * self.pages[id.0].crossbar_count() as u64;
         }
         let time_ns =
@@ -255,7 +255,7 @@ impl PimModule {
         req: &AggRequest,
         count_dst: crate::compiler::ColRange,
     ) -> Result<((Vec<Vec<u64>>, Vec<Vec<u64>>), Phase), SimError> {
-        req.validate(self.cfg.crossbar_rows, self.cfg.crossbar_cols)?;
+        req.validate_counted(self.cfg.crossbar_rows, self.cfg.crossbar_cols, count_dst)?;
         let cost = req.cost(&self.cfg);
         let extra_bits = AggRequest::counted_extra_bits(count_dst);
         let mut sums = Vec::with_capacity(pages.len());
@@ -318,19 +318,7 @@ impl PimModule {
             let mut page_partials = Vec::with_capacity(page.crossbar_count());
             for xb in page.crossbars_mut() {
                 // Functional result identical to the tree's output.
-                let mut values = Vec::with_capacity(rows);
-                let mut mask = Vec::with_capacity(rows);
-                for r in 0..rows {
-                    values.push(xb.read_row_bits(r, req.value.lo, req.value.width));
-                    mask.push(xb.bits().get(r, req.mask_col));
-                }
-                let width = req.dst.width.max(req.value.width).min(64);
-                let result = masked_reduce(&values, &mask, width, req.op);
-                let result = if req.dst.width == 64 {
-                    result
-                } else {
-                    result & ((1u64 << req.dst.width) - 1)
-                };
+                let result = req.reduce(xb);
                 xb.bits_mut_unaccounted().write_row_bits(
                     req.dst_row,
                     req.dst.lo,
@@ -379,6 +367,7 @@ impl PimModule {
         req: &AggRequest,
         count_dst: crate::compiler::ColRange,
     ) -> Result<((Vec<Vec<u64>>, Vec<Vec<u64>>), Phase), SimError> {
+        req.validate_counted(self.cfg.crossbar_rows, self.cfg.crossbar_cols, count_dst)?;
         let (sums, mut phase) = self.bitwise_reduce(pages, req)?;
         let rows = self.cfg.crossbar_rows;
         let cols = self.cfg.crossbar_cols;
@@ -390,12 +379,7 @@ impl PimModule {
             let page = &mut self.pages[id.0];
             let mut page_counts = Vec::with_capacity(page.crossbar_count());
             for xb in page.crossbars_mut() {
-                let mut count = 0u64;
-                for r in 0..rows {
-                    if xb.bits().get(r, req.mask_col) {
-                        count += 1;
-                    }
-                }
+                let count = xb.bits().popcount_col(req.mask_col) as u64;
                 xb.bits_mut_unaccounted().write_row_bits(
                     req.dst_row,
                     count_dst.lo,

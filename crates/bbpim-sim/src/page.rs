@@ -102,11 +102,20 @@ impl PimPage {
     ///
     /// Propagates program validation failures.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
+        if let Some(xb) = self.crossbars.first() {
+            program.validate(xb.rows(), xb.cols())?;
+        }
+        Ok(self.execute_validated(program))
+    }
+
+    /// [`PimPage::execute`] for a program already validated against the
+    /// page's crossbar geometry.
+    pub(crate) fn execute_validated(&mut self, program: &Microprogram) -> ExecSummary {
         let mut summary = ExecSummary::default();
         for xb in self.crossbars.iter_mut() {
-            summary = xb.execute(program)?;
+            summary = xb.execute_validated(program);
         }
-        Ok(summary)
+        summary
     }
 
     /// Write `width` bits of a record's row at bit offset `col_lo`
