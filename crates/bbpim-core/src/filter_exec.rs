@@ -196,12 +196,7 @@ pub fn build_dnf_mask_program_in(
 
 /// Count the set bits of a one-bit column over a partition's pages.
 pub fn count_mask_bits(module: &PimModule, pages: &[PageId], col: usize) -> u64 {
-    pages
-        .iter()
-        .map(|&p| {
-            module.page(p).crossbars().map(|xb| xb.bits().popcount_col(col) as u64).sum::<u64>()
-        })
-        .sum()
+    pages.iter().map(|&p| module.page(p).popcount_col(col) as u64).sum()
 }
 
 /// Read a one-bit column of a partition's *planned* pages into a
@@ -217,14 +212,10 @@ pub fn mask_bits(
 ) -> Vec<bool> {
     let mut out = vec![false; loaded.records()];
     for (pg_idx, pid) in pages.entries(loaded, partition) {
-        let page = module.page(pid);
-        for slot in 0..loaded.records_per_page() {
-            let record = loaded.record_at(pg_idx, slot);
-            if record >= loaded.records() {
-                break;
+        for slot in module.page(pid).ones_in_col(col) {
+            if let Some(bit) = out.get_mut(loaded.record_at(pg_idx, slot)) {
+                *bit = true;
             }
-            let s = page.record_slot(slot).expect("slot within page");
-            out[record] = page.crossbar(s.crossbar).bits().get(s.row, col);
         }
     }
     out
@@ -416,15 +407,13 @@ pub fn write_transfer_bits_to(
     pages: &PageSet,
 ) -> Result<(), CoreError> {
     let entries: Vec<(usize, PageId)> = pages.entries(loaded, partition).collect();
+    let mut values = Vec::with_capacity(loaded.records_per_page());
     for (pg_idx, pid) in entries {
-        let page = module.page_mut(pid);
-        for slot in 0..loaded.records_per_page() {
-            let record = loaded.record_at(pg_idx, slot);
-            if record >= bits.len() {
-                break;
-            }
-            page.write_record_bits(slot, TRANSFER_COL, 16, bits[record] as u64)?;
-        }
+        let first = loaded.record_at(pg_idx, 0).min(bits.len());
+        let last = (first + loaded.records_per_page()).min(bits.len());
+        values.clear();
+        values.extend(bits[first..last].iter().map(|b| u64::from(*b)));
+        module.page_mut(pid).write_records(0, TRANSFER_COL, 16, &values)?;
     }
     Ok(())
 }

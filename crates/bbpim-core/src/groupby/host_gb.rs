@@ -76,10 +76,50 @@ pub fn eval_expr(
     })
 }
 
+/// An aggregate's operands as indices into the gathered attribute
+/// columns of one [`run_host_gb`] call.
+#[derive(Debug, Clone, Copy)]
+enum Operands {
+    /// `COUNT`: every record contributes 1.
+    One,
+    Attr(usize),
+    Mul(usize, usize),
+    Sub(usize, usize),
+}
+
+impl Operands {
+    fn value(self, cols: &[Vec<u64>], i: usize) -> u64 {
+        match self {
+            Operands::One => 1,
+            Operands::Attr(a) => cols[a][i],
+            Operands::Mul(a, b) => cols[a][i].wrapping_mul(cols[b][i]),
+            Operands::Sub(a, b) => cols[a][i].wrapping_sub(cols[b][i]),
+        }
+    }
+}
+
+/// Index of attribute `name` among the gathered columns `attrs`,
+/// appending it on first use.
+fn operand_column<'a>(
+    attrs: &mut Vec<(&'a str, AttrPlacement)>,
+    layout: &RecordLayout,
+    name: &'a str,
+) -> Result<usize, CoreError> {
+    if let Some(i) = attrs.iter().position(|(n, _)| *n == name) {
+        return Ok(i);
+    }
+    attrs.push((name, layout.placement(name)?));
+    Ok(attrs.len() - 1)
+}
+
 /// Execute host-gb. Charges mask-read, record-read and host-compute
 /// phases to `log` and returns the aggregated tail groups — one
 /// [`GroupedResult`] per requested physical aggregate, in request
 /// order.
+///
+/// Placements are resolved once per call; each planned page's selected
+/// records are then gathered attribute by attribute with
+/// [`bbpim_sim::page::PimPage::read_records`] and folded.
 ///
 /// # Errors
 ///
@@ -109,60 +149,98 @@ pub fn run_host_gb(
     read_attrs.dedup();
     let chunk_map = layout.chunks_for(read_attrs.iter().copied())?;
 
-    // 3. Exact unique-line accounting over the selected records.
-    let mut lines = LineSet::new();
+    // Gathered columns: the group keys in key order, then every other
+    // operand once.
+    let mut attrs: Vec<(&str, AttrPlacement)> = Vec::new();
+    for (name, _) in req.group_placements {
+        attrs.push((name, layout.placement(name)?));
+    }
+    let keys = attrs.len();
+    let operands = req
+        .aggs
+        .iter()
+        .map(|agg| {
+            let mut col = |name| operand_column(&mut attrs, layout, name);
+            Ok(match &agg.expr {
+                None => Operands::One,
+                Some(AggExpr::Attr(a)) => Operands::Attr(col(a)?),
+                Some(AggExpr::Mul(a, b)) => Operands::Mul(col(a)?, col(b)?),
+                Some(AggExpr::Sub(a, b)) => Operands::Sub(col(a)?, col(b)?),
+            })
+        })
+        .collect::<Result<Vec<Operands>, CoreError>>()?;
+
+    // 3. Per planned page: exact unique-line accounting over the
+    //    selected records, then 4. hash aggregation at the host, all
+    //    physical aggregates folded in one pass over them.
     let cfg = module.config().clone();
-    for (record, selected) in mask.iter().enumerate() {
-        if !selected {
+    let mut lines = LineSet::new();
+    let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); req.aggs.len()];
+    let mut cols: Vec<Vec<u64>> = vec![Vec::new(); attrs.len()];
+    let mut row_seen = vec![false; cfg.crossbar_rows];
+    let mut selected = 0usize;
+    for (pg, mask_page) in pages.entries(loaded, 0) {
+        let first = loaded.record_at(pg, 0);
+        let slots: Vec<usize> = module
+            .page(mask_page)
+            .ones_in_col(MASK_COL)
+            .filter(|&slot| first + slot < loaded.records())
+            .collect();
+        if slots.is_empty() {
             continue;
         }
-        let (pg, slot) = loaded.locate(record);
+        selected += slots.len();
+
+        // A line is (page, row, chunk), and rows are shared by the
+        // page's crossbars: touch each selected row once.
+        let page = module.page(mask_page);
+        row_seen.fill(false);
+        let mut rows = Vec::new();
+        for &slot in &slots {
+            let row = page.record_slot(slot)?.row;
+            if !std::mem::replace(&mut row_seen[row], true) {
+                rows.push(row);
+            }
+        }
         for (&partition, chunks) in &chunk_map {
             let page_id = loaded.pages(partition)[pg];
-            let page = module.page(page_id);
-            let s = page.record_slot(slot)?;
-            for &chunk in chunks {
-                lines.touch_bit_range(
-                    &cfg,
-                    page_id.0,
-                    s.row,
-                    chunk * cfg.read_width_bits,
-                    cfg.read_width_bits,
-                );
+            for &row in &rows {
+                for &chunk in chunks {
+                    lines.touch_bit_range(
+                        &cfg,
+                        page_id.0,
+                        row,
+                        chunk * cfg.read_width_bits,
+                        cfg.read_width_bits,
+                    );
+                }
+            }
+        }
+
+        for ((_, placement), col) in attrs.iter().zip(cols.iter_mut()) {
+            col.clear();
+            let page = module.page(loaded.pages(placement.partition)[pg]);
+            page.read_records(&slots, placement.range.lo, placement.range.width, col)?;
+        }
+        for i in 0..slots.len() {
+            let key: Vec<u64> = cols[..keys].iter().map(|c| c[i]).collect();
+            if req.skip.contains(&key) {
+                continue;
+            }
+            for ((agg, op), grouped) in req.aggs.iter().zip(&operands).zip(out.iter_mut()) {
+                let v = op.value(&cols, i);
+                grouped
+                    .entry(key.clone())
+                    .and_modify(|acc| *acc = agg.func.merge(*acc, v))
+                    .or_insert(v);
             }
         }
     }
     // Record fetches are mask-directed (data-dependent addresses):
     // latency-bound scattered reads, per the paper's host-gb behaviour.
     log.push(module.host_read_scattered_phase(lines.len()));
-
-    // 4. Hash aggregation at the host, all physical aggregates folded
-    //    in one pass over the selected records.
-    let mut out: Vec<GroupedResult> = vec![GroupedResult::new(); req.aggs.len()];
-    for (record, selected) in mask.iter().enumerate() {
-        if !selected {
-            continue;
-        }
-        let mut key = Vec::with_capacity(req.group_placements.len());
-        for (name, _) in req.group_placements {
-            key.push(read_attr_value(module, layout, loaded, record, name)?);
-        }
-        if req.skip.contains(&key) {
-            continue;
-        }
-        for (agg, grouped) in req.aggs.iter().zip(out.iter_mut()) {
-            let v = match &agg.expr {
-                None => 1,
-                Some(expr) => eval_expr(module, layout, loaded, record, expr)?,
-            };
-            grouped
-                .entry(key.clone())
-                .and_modify(|acc| *acc = agg.func.merge(*acc, v))
-                .or_insert(v);
-        }
-    }
     let per_record = cfg.host.host_agg_ns_per_record / cfg.host.threads as f64;
-    log.push(Phase::host_compute(mask.iter().filter(|m| **m).count() as f64 * per_record));
+    log.push(Phase::host_compute(selected as f64 * per_record));
     Ok(out)
 }
 

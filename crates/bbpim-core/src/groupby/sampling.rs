@@ -86,38 +86,35 @@ pub fn sample_page(
     let rows_used = sample_records.div_ceil(module.config().crossbars_per_page());
     log.push(module.host_read_phase(rows_used as u64));
 
-    let mask_page = module.page(loaded.pages(0)[sample_idx]);
-    let mut selected_slots = Vec::new();
-    for slot in 0..sample_records {
-        let s = mask_page.record_slot(slot)?;
-        if mask_page.crossbar(s.crossbar).bits().get(s.row, MASK_COL) {
-            selected_slots.push(slot);
-        }
-    }
+    let selected_slots: Vec<usize> = module
+        .page(loaded.pages(0)[sample_idx])
+        .ones_in_col(MASK_COL)
+        .filter(|&slot| slot < sample_records)
+        .collect();
 
-    // Group-key chunks of the selected sampled records.
+    // Group-key chunks of the selected sampled records, gathered one
+    // attribute at a time (column g of `keys` is attribute g).
     let mut lines = LineSet::new();
-    let mut counts: HashMap<Vec<u64>, u64> = HashMap::new();
-    for &slot in &selected_slots {
-        let mut key = Vec::with_capacity(group_placements.len());
-        for (_, placement) in group_placements {
-            let page_id = loaded.pages(placement.partition)[sample_idx];
-            let page = module.page(page_id);
-            let s = page.record_slot(slot)?;
+    let mut keys: Vec<Vec<u64>> = Vec::with_capacity(group_placements.len());
+    for (_, placement) in group_placements {
+        let page_id = loaded.pages(placement.partition)[sample_idx];
+        let page = module.page(page_id);
+        for &slot in &selected_slots {
             lines.touch_bit_range(
                 module.config(),
                 page_id.0,
-                s.row,
+                page.record_slot(slot)?.row,
                 placement.range.lo,
                 placement.range.width,
             );
-            key.push(page.crossbar(s.crossbar).read_row_bits(
-                s.row,
-                placement.range.lo,
-                placement.range.width,
-            ));
         }
-        *counts.entry(key).or_default() += 1;
+        let mut values = Vec::with_capacity(selected_slots.len());
+        page.read_records(&selected_slots, placement.range.lo, placement.range.width, &mut values)?;
+        keys.push(values);
+    }
+    let mut counts: HashMap<Vec<u64>, u64> = HashMap::new();
+    for i in 0..selected_slots.len() {
+        *counts.entry(keys.iter().map(|k| k[i]).collect()).or_default() += 1;
     }
     log.push(module.host_read_scattered_phase(lines.len()));
 

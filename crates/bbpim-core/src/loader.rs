@@ -140,20 +140,26 @@ pub fn load_relation(
     }
 
     let mut page_zones = vec![ZoneMap::empty(rel.schema().arity()); page_count];
-    for record in 0..rel.len() {
-        let page_idx = record / records_per_page;
-        let slot = record % records_per_page;
+    let ones = vec![1u64; records_per_page];
+    for (page_idx, zone) in page_zones.iter_mut().enumerate() {
+        let first = page_idx * records_per_page;
+        let records = first.min(rel.len())..(first + records_per_page).min(rel.len());
+        if records.is_empty() {
+            continue;
+        }
         for partition_pages in &pages {
             let page = module.page_mut(partition_pages[page_idx]);
-            page.write_record_bits(slot, VALID_COL, 1, 1)?;
+            page.write_records(0, VALID_COL, 1, &ones[..records.len()])?;
         }
         for &(col_idx, placement) in &cols {
-            let value = rel.value(record, col_idx);
+            let values = &rel.column(col_idx).values()[records.clone()];
             let page = module.page_mut(pages[placement.partition][page_idx]);
-            page.write_record_bits(slot, placement.range.lo, placement.range.width, value)?;
+            page.write_records(0, placement.range.lo, placement.range.width, values)?;
         }
         for attr_idx in 0..rel.schema().arity() {
-            page_zones[page_idx].widen(attr_idx, rel.value(record, attr_idx));
+            for &value in &rel.column(attr_idx).values()[records.clone()] {
+                zone.widen(attr_idx, value);
+            }
         }
     }
 
@@ -203,34 +209,59 @@ pub fn append_rows(
         cols.push((idx, layout.placement(&attr.name)?));
     }
 
+    // Rows go in page-sized runs: the catalog validates and takes each
+    // run first, then its bits are written column-wise.
     let mut touched: Vec<usize> = Vec::new();
-    for row in rows {
-        // catalog first: push_row validates arity and bit domains
-        rel.push_row(row)?;
+    let mut values = Vec::new();
+    let mut rest = rows;
+    while !rest.is_empty() {
         let record = loaded.records;
         let page_idx = record / loaded.records_per_page;
         let slot = record % loaded.records_per_page;
-        if page_idx == loaded.page_count() {
-            // image full: grow every partition by one aligned page
-            for partition_pages in &mut loaded.pages {
-                partition_pages.push(module.alloc_pages(1)?[0]);
+        let run = &rest[..rest.len().min(loaded.records_per_page - slot)];
+        rest = &rest[run.len()..];
+        // catalog first: push_row validates arity and bit domains
+        let mut accepted = 0;
+        let mut failure = None;
+        for row in run {
+            if let Err(e) = rel.push_row(row) {
+                failure = Some(e);
+                break;
             }
-            loaded.page_zones.push(ZoneMap::empty(rel.schema().arity()));
+            accepted += 1;
         }
-        for partition_pages in &loaded.pages {
-            let page = module.page_mut(partition_pages[page_idx]);
-            page.write_record_bits(slot, VALID_COL, 1, 1)?;
-        }
-        for &(col_idx, placement) in &cols {
-            let page = module.page_mut(loaded.pages[placement.partition][page_idx]);
-            page.write_record_bits(slot, placement.range.lo, placement.range.width, row[col_idx])?;
-        }
-        for (attr_idx, &value) in row.iter().enumerate() {
-            loaded.page_zones[page_idx].widen(attr_idx, value);
-        }
-        loaded.records += 1;
-        if touched.last() != Some(&page_idx) {
+        let run = &run[..accepted];
+        if !run.is_empty() {
+            if page_idx == loaded.page_count() {
+                // image full: grow every partition by one aligned page
+                for partition_pages in &mut loaded.pages {
+                    partition_pages.push(module.alloc_pages(1)?[0]);
+                }
+                loaded.page_zones.push(ZoneMap::empty(rel.schema().arity()));
+            }
+            values.clear();
+            values.resize(run.len(), 1);
+            for partition_pages in &loaded.pages {
+                module
+                    .page_mut(partition_pages[page_idx])
+                    .write_records(slot, VALID_COL, 1, &values)?;
+            }
+            for &(col_idx, placement) in &cols {
+                values.clear();
+                values.extend(run.iter().map(|row| row[col_idx]));
+                let page = module.page_mut(loaded.pages[placement.partition][page_idx]);
+                page.write_records(slot, placement.range.lo, placement.range.width, &values)?;
+            }
+            for row in run {
+                for (attr_idx, &value) in row.iter().enumerate() {
+                    loaded.page_zones[page_idx].widen(attr_idx, value);
+                }
+            }
+            loaded.records += run.len();
             touched.push(page_idx);
+        }
+        if let Some(e) = failure {
+            return Err(e.into());
         }
     }
 
@@ -372,6 +403,33 @@ mod tests {
         loaded.widen_zones(&[1], 0, 255);
         assert_eq!(loaded.page_zone(0), &before[0]);
         assert_eq!(loaded.page_zone(1).range(0).unwrap().1, 255);
+    }
+
+    #[test]
+    fn appended_rows_match_a_fresh_load_and_stop_at_a_bad_row() {
+        // 200 loaded + 400 appended crosses two page boundaries (256/page)
+        let (mut module, mut rel, layout) = small_setup(200);
+        let (_, full, _) = small_setup(600);
+        let mut loaded = load_relation(&mut module, &rel, &layout).unwrap();
+        let rows: Vec<Vec<u64>> = (200..600).map(|r| full.row(r)).collect();
+        let (_, touched) = append_rows(&mut module, &layout, &mut loaded, &mut rel, &rows).unwrap();
+        assert_eq!(touched, vec![0, 1, 2]);
+        let mut fresh_module = PimModule::new(SimConfig::small_for_tests());
+        let fresh = load_relation(&mut fresh_module, &full, &layout).unwrap();
+        assert_eq!(loaded.page_zones(), fresh.page_zones());
+        for pg in 0..fresh.page_count() {
+            let (a, b) = (module.page(loaded.pages(0)[pg]), fresh_module.page(fresh.pages(0)[pg]));
+            assert_eq!(a.bits(), b.bits(), "page {pg}");
+        }
+        // a row outside its domain stops the run: the rows before it land
+        let bad = vec![vec![1, 1], vec![2, 2], vec![3, 64], vec![4, 4]];
+        assert!(append_rows(&mut module, &layout, &mut loaded, &mut rel, &bad).is_err());
+        assert_eq!((loaded.records(), rel.len()), (602, 602));
+        let b = layout.placement("d_b").unwrap();
+        let (pg, slot) = loaded.locate(601);
+        let page = module.page(loaded.pages(0)[pg]);
+        assert_eq!(page.read_record_bits(slot, b.range.lo, b.range.width).unwrap(), 2);
+        assert_eq!(page.read_record_bits(slot + 1, VALID_COL, 1).unwrap(), 0);
     }
 
     #[test]

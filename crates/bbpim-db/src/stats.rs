@@ -175,23 +175,60 @@ pub fn group_domains(query: &Query, rel: &Relation) -> Result<Vec<Vec<u64>>, DbE
                 .collect::<Result<Vec<_>, DbError>>()
         })
         .collect::<Result<_, _>>()?;
-    let mut out = Vec::with_capacity(query.group_by.len());
+    // The distinct dimensions of the GROUP BY attributes, and per
+    // dimension the atoms each disjunct puts on it.
+    let mut dims: Vec<String> = Vec::new();
+    let mut attrs: Vec<(usize, usize)> = Vec::with_capacity(query.group_by.len());
     for name in &query.group_by {
-        let idx = rel.schema().index_of(name)?;
         let dim = prefix(name);
-        let mut seen = std::collections::BTreeSet::new();
-        for conj in &resolved {
-            let constraints: Vec<&ResolvedAtom> =
-                conj.iter().filter(|(p, _)| *p == dim).map(|(_, a)| a).collect();
-            for row in 0..rel.len() {
-                if constraints.iter().all(|a| a.matches(rel, row)) {
-                    seen.insert(rel.value(row, idx));
+        let d = match dims.iter().position(|x| *x == dim) {
+            Some(d) => d,
+            None => {
+                dims.push(dim);
+                dims.len() - 1
+            }
+        };
+        attrs.push((rel.schema().index_of(name)?, d));
+    }
+    let constraints: Vec<Vec<Vec<&ResolvedAtom>>> = dims
+        .iter()
+        .map(|dim| {
+            resolved
+                .iter()
+                .map(|conj| conj.iter().filter(|(p, _)| p == dim).map(|(_, a)| a).collect())
+                .collect()
+        })
+        .collect();
+    // One pass: a row's value joins an attribute's domain when some
+    // disjunct's constraints on that attribute's dimension hold.
+    let mut out: Vec<Vec<u64>> = vec![Vec::new(); attrs.len()];
+    let mut compact_at = vec![DOMAIN_COMPACT_MIN; attrs.len()];
+    let mut holds = vec![false; dims.len()];
+    for row in 0..rel.len() {
+        for (h, sets) in holds.iter_mut().zip(&constraints) {
+            *h = sets.iter().any(|atoms| atoms.iter().all(|a| a.matches(rel, row)));
+        }
+        for ((values, at), &(idx, d)) in out.iter_mut().zip(&mut compact_at).zip(&attrs) {
+            if holds[d] {
+                values.push(rel.value(row, idx));
+                if values.len() >= *at {
+                    sort_dedup(values);
+                    *at = (2 * values.len()).max(DOMAIN_COMPACT_MIN);
                 }
             }
         }
-        out.push(seen.into_iter().collect());
     }
+    out.iter_mut().for_each(sort_dedup);
     Ok(out)
+}
+
+/// Buffered domain values at which [`group_domains`] first compacts a
+/// domain (domains are small; the buffer bounds memory on big tables).
+const DOMAIN_COMPACT_MIN: usize = 4096;
+
+fn sort_dedup(values: &mut Vec<u64>) {
+    values.sort_unstable();
+    values.dedup();
 }
 
 /// Merge one partial grouped result into an accumulator with the given
@@ -254,6 +291,108 @@ mod tests {
     use crate::builder::col;
     use crate::plan::{AggExpr, AggFunc, Atom, SelectItem};
     use crate::schema::{Attribute, Schema};
+
+    /// The per-attribute, per-disjunct rescan [`group_domains`] replaced:
+    /// the reference its one-pass evaluation must equal.
+    fn group_domains_reference(query: &Query, rel: &Relation) -> Result<Vec<Vec<u64>>, DbError> {
+        let prefix = |name: &str| name.split('_').next().unwrap_or("").to_owned();
+        let dnf = query.filter.dnf();
+        let resolved: Vec<Vec<(String, ResolvedAtom)>> = dnf
+            .iter()
+            .map(|conj| {
+                conj.iter()
+                    .map(|a| Ok((prefix(a.attr()), a.resolve(rel.schema())?)))
+                    .collect::<Result<Vec<_>, DbError>>()
+            })
+            .collect::<Result<_, _>>()?;
+        let mut out = Vec::with_capacity(query.group_by.len());
+        for name in &query.group_by {
+            let idx = rel.schema().index_of(name)?;
+            let dim = prefix(name);
+            let mut seen = std::collections::BTreeSet::new();
+            for conj in &resolved {
+                let constraints: Vec<&ResolvedAtom> =
+                    conj.iter().filter(|(p, _)| *p == dim).map(|(_, a)| a).collect();
+                for row in 0..rel.len() {
+                    if constraints.iter().all(|a| a.matches(rel, row)) {
+                        seen.insert(rel.value(row, idx));
+                    }
+                }
+            }
+            out.push(seen.into_iter().collect());
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn group_domains_equal_reference_on_ssb_queries() {
+        use crate::ssb::{queries, SsbDb, SsbParams};
+        let db = SsbDb::generate(&SsbParams::tiny_for_tests());
+        let rel = db.prejoin();
+        let mut qs = queries::adjusted_queries(&rel).unwrap();
+        qs.extend(queries::combined_queries());
+        for q in &qs {
+            let want = group_domains_reference(q, &rel).unwrap();
+            assert_eq!(group_domains(q, &rel).unwrap(), want, "{q:?}");
+        }
+    }
+
+    #[test]
+    fn group_domains_equal_reference_on_random_filters() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let schema = Schema::new(
+            "t",
+            vec![
+                Attribute::numeric("a_x", 4),
+                Attribute::numeric("a_y", 4),
+                Attribute::numeric("b_x", 6),
+                Attribute::numeric("b_y", 3),
+                Attribute::numeric("c_v", 8),
+            ],
+        );
+        let names = ["a_x", "a_y", "b_x", "b_y", "c_v"];
+        let chance = |rng: &mut StdRng, pct: u32| rng.gen_range(0..100u32) < pct;
+        for case in 0..64u64 {
+            let mut rng = StdRng::seed_from_u64(0x6D0 + case);
+            let mut rel = Relation::new(schema.clone());
+            for _ in 0..rng.gen_range(0usize..300) {
+                let row = [
+                    rng.gen_range(0..16u64),
+                    rng.gen_range(0..16u64),
+                    rng.gen_range(0..64u64),
+                    rng.gen_range(0..8u64),
+                    rng.gen_range(0..256u64),
+                ];
+                rel.push_row(&row).unwrap();
+            }
+            let atom = |rng: &mut StdRng| {
+                let name = names[rng.gen_range(0..names.len())];
+                let v = rng.gen_range(0..20u64);
+                match rng.gen_range(0u32..4) {
+                    0 => col(name).eq(v),
+                    1 => col(name).lt(v),
+                    2 => col(name).gt(v),
+                    _ => col(name).between(v, v + rng.gen_range(0..8u64)),
+                }
+            };
+            let mut filter = atom(&mut rng);
+            for _ in 0..rng.gen_range(0usize..5) {
+                filter = if chance(&mut rng, 50) {
+                    filter.and(atom(&mut rng))
+                } else {
+                    filter.or(atom(&mut rng))
+                };
+            }
+            let group: Vec<&str> = names.iter().copied().filter(|_| chance(&mut rng, 50)).collect();
+            let q = Query::select([SelectItem::count("n")])
+                .filter(filter)
+                .group_by(group)
+                .build_unchecked();
+            let want = group_domains_reference(&q, &rel).unwrap();
+            assert_eq!(group_domains(&q, &rel).unwrap(), want, "case {case}: {q:?}");
+        }
+    }
 
     fn rel() -> Relation {
         let schema = Schema::new(

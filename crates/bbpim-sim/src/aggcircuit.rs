@@ -168,16 +168,26 @@ impl AggRequest {
         count_dst: ColRange,
     ) -> Result<(u64, u64), SimError> {
         self.validate_counted(xb.rows(), xb.cols(), count_dst)?;
-        let value = self.apply(xb)?;
-        let wrapped = xb.bits().popcount_col(self.mask_col) as u64 & low_bits(count_dst.width);
-        xb.bits_mut_unaccounted().write_row_bits(
-            self.dst_row,
-            count_dst.lo,
-            count_dst.width,
-            wrapped,
-        );
-        xb.note_row_writes(self.dst_row, count_dst.width as u64);
-        Ok((value, wrapped))
+        Ok(self.apply_counted_block(xb, 0, xb.rows(), count_dst))
+    }
+
+    /// [`AggRequest::apply_counted`] on block `block` of a lock-step
+    /// store of `block_rows`-row crossbars (see [`AggRequest::apply_block`]).
+    pub(crate) fn apply_counted_block(
+        &self,
+        xb: &mut Crossbar,
+        block: usize,
+        block_rows: usize,
+        count_dst: ColRange,
+    ) -> (u64, u64) {
+        let value = self.apply_block(xb, block, block_rows);
+        let words = block_words(block, block_rows);
+        let wrapped =
+            xb.bits().popcount_col_words(self.mask_col, words) as u64 & low_bits(count_dst.width);
+        let row = block * block_rows + self.dst_row;
+        xb.bits_mut_unaccounted().write_row_bits(row, count_dst.lo, count_dst.width, wrapped);
+        xb.note_row_writes(row, count_dst.width as u64);
+        (value, wrapped)
     }
 
     /// Extra bits written when the count register is used (the serial
@@ -197,20 +207,35 @@ impl AggRequest {
     /// Propagates [`AggRequest::validate`].
     pub fn apply(&self, xb: &mut Crossbar) -> Result<u64, SimError> {
         self.validate(xb.rows(), xb.cols())?;
-        let result = self.reduce(xb);
-        xb.bits_mut_unaccounted().write_row_bits(self.dst_row, self.dst.lo, self.dst.width, result);
-        xb.note_row_writes(self.dst_row, self.dst.width as u64);
-        Ok(result)
+        Ok(self.apply_block(xb, 0, xb.rows()))
+    }
+
+    /// [`AggRequest::apply`], unvalidated, on block `block` of a store
+    /// holding lock-step crossbars of `block_rows` rows each: folds that
+    /// block's word range and writes the result into its `dst_row`.
+    pub(crate) fn apply_block(&self, xb: &mut Crossbar, block: usize, block_rows: usize) -> u64 {
+        let result = self.reduce_block(xb, block, block_rows);
+        let row = block * block_rows + self.dst_row;
+        xb.bits_mut_unaccounted().write_row_bits(row, self.dst.lo, self.dst.width, result);
+        xb.note_row_writes(row, self.dst.width as u64);
+        result
     }
 
     /// The (width-wrapped) result this request leaves in the result
-    /// slot of `xb`, without writing it. The ALU register is
-    /// `max(dst, value)` bits wide, so MIN's identity matches it.
-    pub(crate) fn reduce(&self, xb: &Crossbar) -> u64 {
+    /// slot of block `block` (see [`AggRequest::apply_block`]), without
+    /// writing it. The ALU register is `max(dst, value)` bits wide, so
+    /// MIN's identity matches it.
+    pub(crate) fn reduce_block(&self, xb: &Crossbar, block: usize, block_rows: usize) -> u64 {
         let width = self.dst.width.max(self.value.width);
-        xb.bits().masked_reduce_cols(self.value, self.mask_col, width, self.op)
+        let words = block_words(block, block_rows);
+        xb.bits().masked_reduce_words(self.value, self.mask_col, width, self.op, words)
             & low_bits(self.dst.width)
     }
+}
+
+/// Column-word range of block `block` of `block_rows`-row crossbars.
+pub(crate) fn block_words(block: usize, block_rows: usize) -> std::ops::Range<usize> {
+    block * block_rows / 64..(block + 1) * block_rows / 64
 }
 
 /// Mask of the low `width ≤ 64` bits.

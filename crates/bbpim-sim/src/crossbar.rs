@@ -1,4 +1,4 @@
-//! A single memory crossbar: cells, MAGIC execution, reads/writes, and
+//! A memory crossbar: cells, MAGIC execution, reads/writes, and
 //! per-row endurance counters.
 //!
 //! Records are stored one per crossbar row; attributes occupy fixed
@@ -6,6 +6,22 @@
 //! [`Microprogram`]s gate-by-gate on its real bits and keeps count of the
 //! cell writes each row has experienced, which feeds the paper's
 //! endurance analysis (Fig. 9).
+//!
+//! # Lock-step blocks
+//!
+//! One [`Crossbar`] value can also hold several physical crossbars that
+//! run in lock-step — a page stacks its 32 crossbars as 32 blocks of
+//! `block_rows` rows in one store ([`crate::page`]). The executor takes
+//! the block height: a column op covers every row of every block in one
+//! pass over the column, a row op applies to row `dst` of each block.
+//! A standalone crossbar is the one-block case.
+//!
+//! # Fused execution
+//!
+//! `INIT d` directly followed by a NOR into `d` (the canonical MAGIC
+//! gate the compilers emit) runs as a single `d = !(…)` store pass
+//! instead of a fill and a read-modify-write. Cycles, cells written and
+//! wear are charged per micro-op exactly as if both ops ran.
 //!
 //! # Wear representation
 //!
@@ -16,14 +32,16 @@
 //! taken `uniform_writes + row_writes[r]` cell writes. A column op costs
 //! one increment instead of a pass over every row, and because deltas
 //! only grow between resets, the largest delta is maintained on the fly
-//! so [`Crossbar::max_row_cell_writes`] is O(1) too.
+//! so [`Crossbar::max_row_cell_writes`] is O(1) too. The rows whose
+//! delta left 0 since the last reset are remembered (up to a cap), so a
+//! reset clears only those instead of every row.
 
 use crate::bitmat::BitMatrix;
 use crate::error::SimError;
 use crate::isa::{MicroOp, Microprogram};
 
 /// Outcome of running a microprogram on one crossbar (identical across
-/// the crossbars of a page, since they execute in lock-step).
+/// the lock-step crossbars of a page, so it is computed once).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ExecSummary {
     /// Logic cycles consumed (one per micro-op).
@@ -62,6 +80,10 @@ pub struct Crossbar {
     row_writes: Vec<u64>,
     /// `max(row_writes)`, kept current on every per-row write.
     max_row_writes: u64,
+    /// Rows whose delta left 0 since the last reset, in first-touch
+    /// order; `None` once more than [`Crossbar::touched_cap`] rows were
+    /// touched (the reset then clears every row).
+    touched: Option<Vec<usize>>,
 }
 
 impl Crossbar {
@@ -77,7 +99,14 @@ impl Crossbar {
             uniform_writes: 0,
             row_writes: vec![0; rows],
             max_row_writes: 0,
+            touched: Some(Vec::new()),
         }
+    }
+
+    /// Touched rows remembered before a reset falls back to clearing
+    /// every row: past this, the per-row clear costs as much as the fill.
+    fn touched_cap(&self) -> usize {
+        self.row_writes.len() / 16
     }
 
     /// Rows (records) in this crossbar.
@@ -115,43 +144,98 @@ impl Crossbar {
     /// cells outside this crossbar.
     pub fn execute(&mut self, program: &Microprogram) -> Result<ExecSummary, SimError> {
         program.validate(self.rows(), self.cols())?;
-        Ok(self.execute_validated(program))
+        Ok(self.execute_blocks(program, self.rows()))
     }
 
-    /// [`Crossbar::execute`] for a program already validated against this
-    /// crossbar's geometry — the page runs its lock-step crossbars
-    /// through here after validating once.
-    pub(crate) fn execute_validated(&mut self, program: &Microprogram) -> ExecSummary {
-        let (rows, cols) = (self.rows(), self.cols());
-        let mut cells = 0u64;
-        for op in program.ops() {
-            match *op {
-                MicroOp::InitCol { dst } => self.bits.fill_col(dst, true),
-                MicroOp::NorCols { a, b, dst } => self.bits.magic_nor_cols(a, b, dst),
+    /// Run a program already validated against a `block_rows × cols`
+    /// frame on every `block_rows`-row block of this store in lock-step
+    /// (module docs); the summary is per block. [`Crossbar::execute`]
+    /// is the one-block case, a page runs its crossbars through here.
+    pub(crate) fn execute_blocks(
+        &mut self,
+        program: &Microprogram,
+        block_rows: usize,
+    ) -> ExecSummary {
+        debug_assert!(block_rows > 0 && self.rows().is_multiple_of(block_rows));
+        let cols = self.cols();
+        let blocks = self.rows() / block_rows;
+        let ops = program.ops();
+        let (mut col_ops, mut row_ops) = (0u64, 0u64);
+        let mut i = 0;
+        while i < ops.len() {
+            match ops[i] {
+                MicroOp::InitCol { dst } => {
+                    col_ops += 1;
+                    match ops.get(i + 1) {
+                        Some(&MicroOp::NorCols { a, b, dst: d }) if d == dst => {
+                            self.bits.init_nor_cols(a, b, dst);
+                            col_ops += 1;
+                            i += 1;
+                        }
+                        Some(MicroOp::NorManyCols { inputs, dst: d }) if *d == dst => {
+                            self.bits.init_nor_many_cols(inputs, dst);
+                            col_ops += 1;
+                            i += 1;
+                        }
+                        _ => self.bits.fill_col(dst, true),
+                    }
+                }
+                MicroOp::NorCols { a, b, dst } => {
+                    self.bits.magic_nor_cols(a, b, dst);
+                    col_ops += 1;
+                }
                 MicroOp::NorManyCols { ref inputs, dst } => {
-                    self.bits.magic_nor_many_cols(inputs, dst)
+                    self.bits.magic_nor_many_cols(inputs, dst);
+                    col_ops += 1;
                 }
                 MicroOp::InitRow { dst } => {
-                    self.bits.fill_row(dst, true);
-                    self.note_row_writes(dst, cols as u64);
+                    for base in (0..blocks).map(|k| k * block_rows) {
+                        self.bits.fill_row(base + dst, true);
+                        self.note_row_writes(base + dst, cols as u64);
+                    }
+                    row_ops += 1;
                 }
                 MicroOp::NorRows { a, b, dst } => {
-                    self.bits.magic_nor_rows(a, b, dst);
-                    self.note_row_writes(dst, cols as u64);
+                    for base in (0..blocks).map(|k| k * block_rows) {
+                        self.bits.magic_nor_rows(base + a, base + b, base + dst);
+                        self.note_row_writes(base + dst, cols as u64);
+                    }
+                    row_ops += 1;
                 }
             }
-            if op.is_column_op() {
-                self.uniform_writes += 1;
-            }
-            cells += op.cells_written(rows, cols);
+            i += 1;
         }
-        ExecSummary { cycles: program.cycles(), cells_written: cells }
+        self.uniform_writes += col_ops;
+        ExecSummary {
+            cycles: program.cycles(),
+            cells_written: col_ops * block_rows as u64 + row_ops * cols as u64,
+        }
     }
 
     /// Host/loader write of `width` bits into a row (endurance-counted).
     pub fn write_row_bits(&mut self, row: usize, col_lo: usize, width: usize, value: u64) {
         self.bits.write_row_bits(row, col_lo, width, value);
         self.note_row_writes(row, width as u64);
+    }
+
+    /// Bulk form of [`Crossbar::write_row_bits`] for the 64 rows sharing
+    /// column word `word` (see [`BitMatrix::write_word_rows`]): each row
+    /// selected by `rows` takes its value from `values` and is charged
+    /// `width` cell writes.
+    pub fn write_word_rows(
+        &mut self,
+        word: usize,
+        col_lo: usize,
+        width: usize,
+        values: &[u64; 64],
+        rows: u64,
+    ) {
+        self.bits.write_word_rows(word, col_lo, width, values, rows);
+        let mut left = rows;
+        while left != 0 {
+            self.note_row_writes(word * 64 + left.trailing_zeros() as usize, width as u64);
+            left &= left - 1;
+        }
     }
 
     /// Read `width ≤ 64` bits of a row (no endurance impact).
@@ -164,6 +248,19 @@ impl Crossbar {
     /// reduction trees) that mutate bits through
     /// [`Crossbar::bits_mut_unaccounted`].
     pub fn note_row_writes(&mut self, row: usize, width: u64) {
+        if width == 0 {
+            return;
+        }
+        if self.row_writes[row] == 0 {
+            let cap = self.touched_cap();
+            if let Some(touched) = &mut self.touched {
+                if touched.len() < cap {
+                    touched.push(row);
+                } else {
+                    self.touched = None;
+                }
+            }
+        }
         let w = &mut self.row_writes[row];
         *w += width;
         self.max_row_writes = self.max_row_writes.max(*w);
@@ -180,11 +277,23 @@ impl Crossbar {
         self.uniform_writes + self.max_row_writes
     }
 
-    /// Reset endurance counters (e.g. after load, before measuring a query).
+    /// Reset endurance counters (e.g. after load, before measuring a
+    /// query). Costs O(rows touched since the last reset) while that
+    /// stays under the cap, one fill of the counters otherwise.
     pub fn reset_endurance(&mut self) {
         self.uniform_writes = 0;
-        self.row_writes.fill(0);
         self.max_row_writes = 0;
+        match &mut self.touched {
+            Some(touched) => {
+                for row in touched.drain(..) {
+                    self.row_writes[row] = 0;
+                }
+            }
+            None => {
+                self.row_writes.fill(0);
+                self.touched = Some(Vec::new());
+            }
+        }
     }
 }
 

@@ -215,11 +215,7 @@ impl PimModule {
         let mut crossbars_total = 0u64;
         for id in pages {
             self.try_page(*id)?;
-            let page = &mut self.pages[id.0];
-            let mut page_partials = Vec::with_capacity(page.crossbar_count());
-            for xb in page.crossbars_mut() {
-                page_partials.push(req.apply(xb)?);
-            }
+            let page_partials = self.pages[id.0].agg_circuit(req);
             crossbars_total += page_partials.len() as u64;
             partials.push(page_partials);
         }
@@ -263,14 +259,7 @@ impl PimModule {
         let mut crossbars_total = 0u64;
         for id in pages {
             self.try_page(*id)?;
-            let page = &mut self.pages[id.0];
-            let mut page_sums = Vec::with_capacity(page.crossbar_count());
-            let mut page_counts = Vec::with_capacity(page.crossbar_count());
-            for xb in page.crossbars_mut() {
-                let (s, c) = req.apply_counted(xb, count_dst)?;
-                page_sums.push(s);
-                page_counts.push(c);
-            }
+            let (page_sums, page_counts) = self.pages[id.0].agg_circuit_counted(req, count_dst);
             crossbars_total += page_sums.len() as u64;
             sums.push(page_sums);
             counts.push(page_counts);
@@ -314,24 +303,12 @@ impl PimModule {
         let mut crossbars_total = 0u64;
         for id in pages {
             self.try_page(*id)?;
-            let page = &mut self.pages[id.0];
-            let mut page_partials = Vec::with_capacity(page.crossbar_count());
-            for xb in page.crossbars_mut() {
-                // Functional result identical to the tree's output.
-                let result = req.reduce(xb);
-                xb.bits_mut_unaccounted().write_row_bits(
-                    req.dst_row,
-                    req.dst.lo,
-                    req.dst.width,
-                    result,
-                );
-                // Endurance of the modeled tree: every row takes the
-                // column ops; the fold's copy destinations additionally
-                // take 4 row-ops × cols cells per level.
-                xb.note_all_rows_writes(cost.col_ops);
-                xb.note_row_writes(req.dst_row, 4 * levels * cols as u64);
-                page_partials.push(result);
-            }
+            // Functional result identical to the tree's output.
+            // Endurance of the modeled tree: every row takes the column
+            // ops; the fold's copy destinations additionally take
+            // 4 row-ops × cols cells per level.
+            let page_partials =
+                self.pages[id.0].bitwise_reduce(req, cost.col_ops, 4 * levels * cols as u64);
             crossbars_total += page_partials.len() as u64;
             partials.push(page_partials);
         }
@@ -376,20 +353,7 @@ impl PimModule {
         let mut crossbars_total = 0u64;
         let mut counts = Vec::with_capacity(pages.len());
         for id in pages {
-            let page = &mut self.pages[id.0];
-            let mut page_counts = Vec::with_capacity(page.crossbar_count());
-            for xb in page.crossbars_mut() {
-                let count = xb.bits().popcount_col(req.mask_col) as u64;
-                xb.bits_mut_unaccounted().write_row_bits(
-                    req.dst_row,
-                    count_dst.lo,
-                    count_dst.width,
-                    count,
-                );
-                xb.note_all_rows_writes(extra.col_ops);
-                xb.note_row_writes(req.dst_row, count_dst.width as u64);
-                page_counts.push(count);
-            }
+            let page_counts = self.pages[id.0].bitwise_count(req, count_dst, extra.col_ops);
             crossbars_total += page_counts.len() as u64;
             counts.push(page_counts);
         }

@@ -5,7 +5,8 @@
 //!   and through it [`AggRequest::apply`]/[`AggRequest::apply_counted`])
 //!   against [`masked_reduce`] over the gathered rows;
 //! * the lazy wear counter of [`Crossbar`] (uniform offset + per-row
-//!   deltas) against one explicit counter per row.
+//!   deltas, resets that clear only the touched rows) against one
+//!   explicit counter per row.
 //!
 //! Deterministic seed-driven loops, like the other suites.
 
@@ -26,6 +27,11 @@ fn low_bits(width: usize) -> u64 {
     } else {
         (1u64 << width) - 1
     }
+}
+
+/// True with probability `pct` percent.
+fn chance(rng: &mut StdRng, pct: u32) -> bool {
+    rng.gen_range(0..100u32) < pct
 }
 
 /// Selection patterns: empty, full, sparse random, dense random.
@@ -160,7 +166,7 @@ fn lazy_wear_counter_matches_per_row_model() {
         let mut xb = Crossbar::new(rows, cols);
         let mut model = vec![0u64; rows];
         for step in 0..200 {
-            match rng.gen_range(0u32..12) {
+            match rng.gen_range(0u32..14) {
                 0..=4 => {
                     let mut p = Microprogram::new();
                     for _ in 0..rng.gen_range(1usize..8) {
@@ -201,9 +207,27 @@ fn lazy_wear_counter_matches_per_row_model() {
                     xb.note_all_rows_writes(n);
                     model.iter_mut().for_each(|w| *w += n);
                 }
+                11 | 12 => {
+                    // Bulk writes touch up to 64 rows at once, so the
+                    // reset's touched-row list overflows on some cases.
+                    let word = rng.gen_range(0..rows / 64);
+                    let width = rng.gen_range(1..=cols.min(64));
+                    let lo = rng.gen_range(0..=cols - width);
+                    let mask = if chance(&mut rng, 50) { rng.gen::<u64>() } else { u64::MAX };
+                    let values = [0u64; 64].map(|_| rng.gen::<u64>());
+                    xb.write_word_rows(word, lo, width, &values, mask);
+                    for i in (0..64).filter(|i| mask >> i & 1 == 1) {
+                        model[word * 64 + i] += width as u64;
+                    }
+                }
                 _ => {
                     xb.reset_endurance();
                     model.iter_mut().for_each(|w| *w = 0);
+                    // A reset must clear every row: a probe write on any
+                    // row then sees exactly its own width.
+                    let row = rng.gen_range(0..rows);
+                    xb.note_row_writes(row, 1);
+                    model[row] += 1;
                 }
             }
             let want = model.iter().copied().max().unwrap();
