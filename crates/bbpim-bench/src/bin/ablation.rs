@@ -1,4 +1,4 @@
-//! Ablations of the design choices DESIGN.md calls out:
+//! Ablations of the main design choices:
 //!
 //! 1. **Aggregation circuit vs pure bulk-bitwise reduction** at the
 //!    paper geometry (closed-form per-crossbar costs).

@@ -1,4 +1,4 @@
-//! Run every experiment in one pass (the source of EXPERIMENTS.md).
+//! Run every experiment in one pass.
 
 use bbpim_bench::reports::{print_fig6, print_fig7, print_fig8, print_fig9, print_table2};
 use bbpim_bench::{cross_validate, pim_runs, run_monet, setup, BenchConfig};

@@ -1,6 +1,6 @@
 //! # bbpim-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §4):
+//! One binary per table/figure of the paper:
 //!
 //! | binary   | reproduces |
 //! |----------|------------|
@@ -12,7 +12,7 @@
 //! | `fig7`   | Fig. 7 — PIM energy per query |
 //! | `fig8`   | Fig. 8 — peak per-chip power |
 //! | `fig9`   | Fig. 9 — required cell endurance (10-year back-to-back) |
-//! | `all`    | everything above in one pass (EXPERIMENTS.md source) |
+//! | `all`    | everything above in one pass |
 //!
 //! All binaries accept `--sf <f64>` (default 0.1), `--uniform` (default
 //! is the paper's skewed data), `--seed <u64>` and `--threads <usize>`.

@@ -34,7 +34,7 @@ use crate::schema::Schema;
 use crate::stats::{GroupedResult, MultiGrouped};
 
 /// A query constant: numeric, or a string to be dictionary-encoded.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Const {
     /// Plain number.
     Num(u64),
@@ -64,7 +64,7 @@ impl std::fmt::Display for Const {
 }
 
 /// One atomic predicate over a single attribute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Atom {
     /// `attr = c`
     Eq {
@@ -184,7 +184,7 @@ impl std::fmt::Display for Atom {
 /// Execution and pruning work on the disjunctive normal form
 /// ([`Pred::dnf`]): an OR of conjunctions. `And(vec![])` is the trivial
 /// `TRUE` filter; `Or(vec![])` is `FALSE` (matches nothing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Pred {
     /// A single atomic predicate.
     Atom(Atom),

@@ -31,7 +31,9 @@
 //! catalog copy (zone maps and catalog are maintained by UPDATEs, so
 //! this is sound) and turns the selected-key hull into a BETWEEN bound
 //! on the fact FK attribute — selective dimension filters prune fact
-//! shards and pages *through the join*.
+//! shards and pages *through the join*. Shard admission needs only
+//! the hull's two ends, and memoises its mask per filter until the
+//! next mutation (see [`StarCluster::plan_shards`]).
 //!
 //! ## Accounting approximations
 //!
@@ -42,6 +44,7 @@
 //! dimension filter with their own dispatch — the model keeps the
 //! whole prelude on one timeline, a conservative simplification.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
 
 use bbpim_cluster::engine::ClusterMutationReport;
@@ -112,6 +115,9 @@ pub struct StarCluster {
     contention: bool,
     cold: [Vec<String>; 5],
     join_cache: HashMap<String, JoinPlan>,
+    /// [`StarCluster::plan_shards`]'s per-filter memo (interior
+    /// mutability: the scheduler plans through `&self`).
+    shard_memo: RefCell<HashMap<Pred, Vec<bool>>>,
 }
 
 /// Join-plan cache key: one compiled plan per (query, filter) text.
@@ -185,6 +191,7 @@ impl StarCluster {
             contention: true,
             cold,
             join_cache: HashMap::new(),
+            shard_memo: RefCell::default(),
         })
     }
 
@@ -223,7 +230,7 @@ impl StarCluster {
     /// either way.
     pub fn set_pruning(&mut self, enabled: bool) {
         self.pruning = enabled;
-        self.join_cache.clear();
+        self.invalidate_plans();
     }
 
     /// Is the shared-host-channel contention model enabled (default)?
@@ -254,7 +261,7 @@ impl StarCluster {
         for dim in &mut self.dims {
             dim.set_xfer_policy(policy);
         }
-        self.join_cache.clear();
+        self.invalidate_plans();
     }
 
     /// One dimension table by catalog index (see
@@ -298,84 +305,134 @@ impl StarCluster {
         self.footprints().iter().map(|f| f.data_bytes).sum()
     }
 
+    /// Resolve one dimension conjunction against the catalog copy.
+    fn resolve_dim(&self, d: usize, atoms: &[Atom]) -> Result<Vec<ResolvedAtom>, ClusterError> {
+        let schema = self.dims[d].relation().schema();
+        Ok(atoms.iter().map(|a| a.resolve(schema)).collect::<Result<_, _>>()?)
+    }
+
     /// Host-side evaluation of one dimension conjunction against the
     /// catalog copy — the planner's (free) twin of the on-module
     /// filter; both produce the same bitmap because pruning is a proof
     /// of absence and UPDATEs patch the catalog.
     fn host_dim_bitmap(&self, d: usize, atoms: &[Atom]) -> Result<KeyBitmap, ClusterError> {
         let rel = self.dims[d].relation();
-        let resolved: Vec<ResolvedAtom> =
-            atoms.iter().map(|a| a.resolve(rel.schema())).collect::<Result<_, _>>()?;
+        let resolved = self.resolve_dim(d, atoms)?;
         let bits = (0..rel.len()).map(|row| resolved.iter().all(|a| a.matches(rel, row))).collect();
         Ok(KeyBitmap::new(DIMENSIONS[d].key_base, bits))
     }
 
+    /// The selected-key hull of one dimension conjunction — exactly
+    /// [`KeyBitmap::hull`] of [`StarCluster::host_dim_bitmap`], found
+    /// by scanning the catalog forward to the first matching row and
+    /// backward to the last, with no bitmap built.
+    fn host_dim_hull(&self, d: usize, atoms: &[Atom]) -> Result<Option<(u64, u64)>, ClusterError> {
+        let rel = self.dims[d].relation();
+        let resolved = self.resolve_dim(d, atoms)?;
+        let hit = |row: &usize| resolved.iter().all(|a| a.matches(rel, *row));
+        let Some(first) = (0..rel.len()).find(hit) else {
+            return Ok(None);
+        };
+        let last = (first..rel.len()).rev().find(hit).unwrap_or(first);
+        let base = DIMENSIONS[d].key_base;
+        Ok(Some((base + first as u64, base + last as u64)))
+    }
+
     /// The planner's view of a star filter: per surviving disjunct,
     /// the fact atoms plus one FK-hull BETWEEN per filtered dimension
-    /// (resolved against the fact schema), and the transfer ledger.
+    /// (resolved against the fact schema). `dim_hull(d, disjunct,
+    /// atoms)` supplies each filtered dimension's selected-key hull.
     /// Disjuncts whose dimension filter selects nothing are dropped —
-    /// they can match no fact record.
-    fn host_join_plan(
+    /// they can match no fact record — and their later dimensions are
+    /// never evaluated.
+    fn hull_dnf(
         &self,
         filter: &Pred,
-    ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
+        mut dim_hull: impl FnMut(usize, usize, &[Atom]) -> Result<Option<(u64, u64)>, ClusterError>,
+    ) -> Result<Vec<Vec<ResolvedAtom>>, ClusterError> {
         let Some(first) = self.shards.first() else {
-            return Ok((Vec::new(), Vec::new()));
+            return Ok(Vec::new());
         };
         let fact_schema = first.table.relation().schema();
-        let broadcast = self.shards.len();
         let mut dnf_out = Vec::new();
-        let mut transfers = Vec::new();
-        for (di, conj) in filter.dnf().iter().enumerate() {
+        'disjuncts: for (di, conj) in filter.dnf().iter().enumerate() {
             let (fact_atoms, dim_atoms) = route_conjunct(conj);
             let mut atoms: Vec<ResolvedAtom> =
                 fact_atoms.iter().map(|a| a.resolve(fact_schema)).collect::<Result<_, _>>()?;
-            let mut dead = false;
             for (d, da) in dim_atoms.iter().enumerate() {
                 if da.is_empty() {
                     continue;
                 }
-                let bitmap = self.host_dim_bitmap(d, da)?;
-                transfers.push(transfer_of(d, di, &bitmap, broadcast));
-                match bitmap.hull() {
-                    None => {
-                        // empty bitmap: the disjunct is false; later
-                        // dimensions of it are never filtered
-                        dead = true;
-                        break;
-                    }
-                    Some((lo, hi)) => atoms.push(ResolvedAtom::Between {
-                        idx: fact_schema.index_of(DIMENSIONS[d].fk)?,
-                        lo,
-                        hi,
-                    }),
-                }
+                let Some((lo, hi)) = dim_hull(d, di, da)? else {
+                    continue 'disjuncts;
+                };
+                atoms.push(ResolvedAtom::Between {
+                    idx: fact_schema.index_of(DIMENSIONS[d].fk)?,
+                    lo,
+                    hi,
+                });
             }
-            if !dead {
-                dnf_out.push(atoms);
-            }
+            dnf_out.push(atoms);
         }
-        Ok((dnf_out, transfers))
+        Ok(dnf_out)
+    }
+
+    /// [`StarCluster::hull_dnf`] over full catalog bitmaps, plus the
+    /// transfer ledger they imply — the EXPLAIN view.
+    fn host_join_plan(
+        &self,
+        filter: &Pred,
+    ) -> Result<(Vec<Vec<ResolvedAtom>>, Vec<JoinTransfer>), ClusterError> {
+        let broadcast = self.shards.len();
+        let mut transfers = Vec::new();
+        let dnf = self.hull_dnf(filter, |d, di, da| {
+            let bitmap = self.host_dim_bitmap(d, da)?;
+            transfers.push(transfer_of(d, di, &bitmap, broadcast));
+            Ok(bitmap.hull())
+        })?;
+        Ok((dnf, transfers))
+    }
+
+    /// The uncached shard admission [`StarCluster::plan_shards`]
+    /// memoises.
+    fn plan_shards_uncached(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
+        if !self.pruning || filter.is_always() {
+            return Ok(vec![true; self.shards.len()]);
+        }
+        let dnf = self.hull_dnf(filter, |d, _, da| self.host_dim_hull(d, da))?;
+        if dnf.is_empty() {
+            // every disjunct died on an empty dimension selection
+            return Ok(vec![false; self.shards.len()]);
+        }
+        let bounds = FilterBounds::from_dnf(&dnf);
+        Ok(self.shards.iter().map(|s| bounds.can_match(&s.zone)).collect())
     }
 
     /// Pre-scatter shard admission: `true` per active shard whose zone
     /// map admits some surviving disjunct (fact bounds *and* FK hulls
     /// — dimension selectivity prunes fact shards through the join).
     ///
+    /// Each filtered dimension contributes only its selected-key hull,
+    /// found by a forward and a backward scan of the catalog copy (no
+    /// key bitmap, no transfer ledger — [`StarCluster::explain`] keeps
+    /// those). The resulting mask is memoised per filter: the answer
+    /// depends only on the filter, the catalog copies, the zone maps
+    /// and the pruning switch, so the memo is cleared exactly where
+    /// compiled join plans are — by [`StarCluster::mutate_on_lanes`]
+    /// (after the mutation has landed), [`StarCluster::set_pruning`]
+    /// and [`StarCluster::set_xfer_policy`]. Failed plans are not
+    /// memoised.
+    ///
     /// # Errors
     ///
     /// Propagates attribute resolution failures.
     pub fn plan_shards(&self, filter: &Pred) -> Result<Vec<bool>, ClusterError> {
-        if !self.pruning || filter.is_always() {
-            return Ok(vec![true; self.shards.len()]);
+        if let Some(mask) = self.shard_memo.borrow().get(filter) {
+            return Ok(mask.clone());
         }
-        let (dnf, _) = self.host_join_plan(filter)?;
-        if dnf.is_empty() {
-            // every disjunct died on an empty dimension bitmap
-            return Ok(vec![false; self.shards.len()]);
-        }
-        let bounds = FilterBounds::from_dnf(&dnf);
-        Ok(self.shards.iter().map(|s| bounds.can_match(&s.zone)).collect())
+        let mask = self.plan_shards_uncached(filter)?;
+        self.shard_memo.borrow_mut().insert(filter.clone(), mask.clone());
+        Ok(mask)
     }
 
     /// The physical plan of `query` without executing anything,
@@ -419,16 +476,13 @@ impl StarCluster {
                     continue;
                 }
                 let dim = &self.dims[d];
-                let schema = dim.relation().schema();
-                let resolved: Vec<ResolvedAtom> =
-                    da.iter().map(|a| a.resolve(schema)).collect::<Result<_, _>>()?;
-                let pages = dim.plan_conjunction(&resolved, self.pruning);
+                let pages = dim.plan_conjunction(&self.resolve_dim(d, da)?, self.pruning);
                 let host = &dim.module().config().host;
                 if !pages.is_empty() && dim.module().policy().batch_dispatch {
                     host_bytes.dispatch_bytes += host.dispatch_header_bytes
                         + pages.run_count() as u64 * host.dispatch_run_bytes;
                 }
-                if self.host_dim_bitmap(d, da)?.hull().is_none() {
+                if self.host_dim_hull(d, da)?.is_none() {
                     break;
                 }
             }
@@ -803,9 +857,10 @@ impl StarCluster {
     /// denormalized column on every fact shard. INSERTs append fact
     /// rows round-robin from the deterministic cursor
     /// `records % active` (dimension INSERTs are not supported — SSB
-    /// dimensions are keyed positionally). Compiled join plans are
-    /// invalidated by every mutation: a landed write may change any
-    /// cached semijoin bitmap.
+    /// dimensions are keyed positionally). Compiled join plans and
+    /// memoised shard masks are invalidated by every mutation once it
+    /// has landed (also after a mid-fan-out error): a landed write may
+    /// change any cached semijoin bitmap, catalog hull or zone map.
     ///
     /// # Errors
     ///
@@ -816,7 +871,23 @@ impl StarCluster {
         &mut self,
         m: &Mutation,
     ) -> Result<Vec<(usize, MutationReport)>, ClusterError> {
+        // planned lanes go through the memo, so clear it only after
+        let out = self.apply_on_lanes(m);
+        self.invalidate_plans();
+        out
+    }
+
+    /// Drop every compiled join plan and memoised shard mask.
+    fn invalidate_plans(&mut self) {
         self.join_cache.clear();
+        self.shard_memo.get_mut().clear();
+    }
+
+    /// [`StarCluster::mutate_on_lanes`] without the invalidation.
+    fn apply_on_lanes(
+        &mut self,
+        m: &Mutation,
+    ) -> Result<Vec<(usize, MutationReport)>, ClusterError> {
         match m {
             Mutation::Update { .. } => match self.route_update(m)? {
                 Some(d) => {
@@ -1263,6 +1334,9 @@ impl std::fmt::Debug for StarCluster {
             .finish()
     }
 }
+
+#[cfg(test)]
+mod planner_tests;
 
 #[cfg(test)]
 mod tests {

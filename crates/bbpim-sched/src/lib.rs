@@ -56,6 +56,7 @@
 
 pub mod demand;
 pub mod error;
+pub mod events;
 pub mod obs;
 pub mod report;
 pub mod sched;
@@ -66,6 +67,7 @@ pub use demand::{
     ShardDemand, Slice, SliceChain,
 };
 pub use error::SchedError;
+pub use events::EventQueue;
 pub use obs::record_stream_metrics;
 pub use report::LatencySummary;
 pub use sched::{

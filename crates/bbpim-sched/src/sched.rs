@@ -62,8 +62,7 @@
 //! completion order differ. The event timeline is a pure function of
 //! `(cluster, workload, config)`.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use bbpim_cluster::{ClusterEngine, ClusterError, ClusterExecution};
 use bbpim_core::mutation::{Mutation, MutationReport};
@@ -75,6 +74,7 @@ use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 
 use crate::demand::{compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand};
 use crate::error::SchedError;
+use crate::events::EventQueue;
 use crate::report::LatencySummary;
 use crate::workload::Workload;
 
@@ -545,35 +545,6 @@ enum Ev {
     MutLocalDone(usize, usize, usize),
 }
 
-/// Heap entry ordered by (time, insertion sequence) — the sequence
-/// makes simultaneous events deterministic.
-struct HeapEntry {
-    t_ns: f64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.t_ns.total_cmp(&other.t_ns) == Ordering::Equal && self.seq == other.seq
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    /// Reversed so `BinaryHeap` pops the *earliest* event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.t_ns.total_cmp(&self.t_ns).then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// Trace track ids for the scheduler's lanes (present only when the
 /// recorder is enabled).
 struct Tracks {
@@ -611,21 +582,22 @@ struct Sim<'a, E: StreamEngine> {
     want_detail: bool,
     /// Mutations admitted so far — the snapshot counter.
     epoch: usize,
-    /// Resolution cache: `(query index, epoch)` → resolved demand and
-    /// merged answer, shared by repeated arrivals between ingests.
-    by_query: HashMap<(usize, usize), (QueryDemand, ClusterExecution)>,
-    /// Per query arrival, filled at admission.
-    demands: Vec<Option<QueryDemand>>,
-    executions: Vec<Option<ClusterExecution>>,
+    /// Every `(query, epoch)` resolution — demand and merged answer —
+    /// in resolution order, shared by repeated arrivals between ingests.
+    resolutions: Vec<(QueryDemand, ClusterExecution)>,
+    /// `(query index, epoch)` → index into `resolutions`.
+    by_query: HashMap<(usize, usize), usize>,
+    /// Per query arrival, its resolution index (filled at admission).
+    resolved: Vec<Option<usize>>,
     /// SCSF candidate-count estimate, planned at arrival.
     cand_est: Vec<usize>,
     /// Per mutation arrival, filled at admission.
     mut_demands: Vec<Option<MutationDemand>>,
-    events: BinaryHeap<HeapEntry>,
-    seq: u64,
+    events: EventQueue<Ev>,
     host: SharedBus,
     shard_bus: Vec<SharedBus>,
-    waiting: Vec<usize>,
+    /// Admission queue of query arrivals, in arrival order.
+    waiting: VecDeque<usize>,
     mut_waiting: VecDeque<usize>,
     in_flight: usize,
     /// In-flight mutation count per ingest lane (the bounded buffer).
@@ -646,18 +618,13 @@ struct Sim<'a, E: StreamEngine> {
 }
 
 impl<E: StreamEngine> Sim<'_, E> {
-    fn push_event(&mut self, t_ns: f64, ev: Ev) {
-        self.events.push(HeapEntry { t_ns, seq: self.seq, ev });
-        self.seq += 1;
-    }
-
     fn record(&mut self, t_ns: f64, kind: EventKind, arrival: usize, shard: Option<usize>) {
         self.timeline.push(TimelineEvent { t_ns, kind, arrival, shard });
     }
 
     /// The admitted demand of a query arrival.
     fn qd(&self, ai: usize) -> &QueryDemand {
-        self.demands[ai].as_ref().expect("demand resolved at admission")
+        &self.resolutions[self.resolved[ai].expect("demand resolved at admission")].0
     }
 
     /// The admitted demand of a mutation arrival.
@@ -695,19 +662,17 @@ impl<E: StreamEngine> Sim<'_, E> {
         }
     }
 
-    /// Pick the next admission per policy; `waiting` keeps arrival
-    /// order, so FIFO is the front and SCSF is the min candidate count
-    /// with arrival order as tiebreak.
-    fn pick_next(&self) -> usize {
+    /// Take the next admission per policy; `waiting` keeps arrival
+    /// order, so FIFO pops the front and SCSF removes the min candidate
+    /// count with arrival order as tiebreak.
+    fn take_next(&mut self) -> Option<usize> {
         match self.cfg.policy {
-            AdmissionPolicy::Fifo => 0,
-            AdmissionPolicy::ShortestCandidateFirst => self
-                .waiting
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, &ai)| (self.cand_est[ai], ai))
-                .map(|(pos, _)| pos)
-                .expect("pick_next on an empty queue"),
+            AdmissionPolicy::Fifo => self.waiting.pop_front(),
+            AdmissionPolicy::ShortestCandidateFirst => {
+                let pos = (0..self.waiting.len())
+                    .min_by_key(|&pos| (self.cand_est[self.waiting[pos]], self.waiting[pos]))?;
+                self.waiting.remove(pos)
+            }
         }
     }
 
@@ -719,7 +684,7 @@ impl<E: StreamEngine> Sim<'_, E> {
         let slice = self.qd(ai).shards[sp].slices[idx];
         if slice.bus_ns > 0.0 {
             let grant = self.host.acquire(now_ns, slice.bus_ns);
-            self.push_event(grant.end_ns, Ev::BusDone(ai, sp, idx));
+            self.events.push(grant.end_ns, Ev::BusDone(ai, sp, idx));
             if let Some(tracks) = &self.tracks {
                 let (host, shard) = (tracks.host, self.qd(ai).shards[sp].shard);
                 let name = slice.bus_kind.map_or("bus", |k| k.label());
@@ -731,7 +696,7 @@ impl<E: StreamEngine> Sim<'_, E> {
             }
             Some(grant.start_ns)
         } else {
-            self.push_event(now_ns, Ev::BusDone(ai, sp, idx));
+            self.events.push(now_ns, Ev::BusDone(ai, sp, idx));
             None
         }
     }
@@ -743,7 +708,7 @@ impl<E: StreamEngine> Sim<'_, E> {
         let slice = self.md(mi).lanes[lp].slices[idx];
         if slice.bus_ns > 0.0 {
             let grant = self.host.acquire(now_ns, slice.bus_ns);
-            self.push_event(grant.end_ns, Ev::MutBusDone(mi, lp, idx));
+            self.events.push(grant.end_ns, Ev::MutBusDone(mi, lp, idx));
             if let Some(tracks) = &self.tracks {
                 let (host, lane) = (tracks.host, self.md(mi).lanes[lp].shard);
                 let name = slice.bus_kind.map_or("bus", |k| k.label());
@@ -754,7 +719,7 @@ impl<E: StreamEngine> Sim<'_, E> {
                 self.trace.span(host, name, grant.start_ns, slice.bus_ns, args);
             }
         } else {
-            self.push_event(now_ns, Ev::MutBusDone(mi, lp, idx));
+            self.events.push(now_ns, Ev::MutBusDone(mi, lp, idx));
         }
     }
 
@@ -852,8 +817,8 @@ impl<E: StreamEngine> Sim<'_, E> {
     /// resolving each one's demand against the current (admitted-
     /// mutation) engine state.
     fn try_admit_queries(&mut self, now_ns: f64) -> Result<(), SchedError> {
-        while self.in_flight < self.cfg.max_in_flight && !self.waiting.is_empty() {
-            let ai = self.waiting.remove(self.pick_next());
+        while self.in_flight < self.cfg.max_in_flight {
+            let Some(ai) = self.take_next() else { break };
             self.record(now_ns, EventKind::Admit, ai, None);
             if let Some(tracks) = &self.tracks {
                 let sched = tracks.sched;
@@ -868,18 +833,23 @@ impl<E: StreamEngine> Sim<'_, E> {
             // one deterministic, read-only resolution.
             let qi = self.workload.arrivals()[ai].query;
             let key = (qi, self.epoch);
-            if !self.by_query.contains_key(&key) {
-                let query = &self.workload.queries()[qi];
-                let resolved = resolve_query_demand(&mut *self.cluster, query, self.want_detail)?;
-                for sd in &resolved.0.shards {
-                    self.shard_endurance[sd.shard] =
-                        self.shard_endurance[sd.shard].max(sd.required_endurance);
+            let ri = match self.by_query.get(&key) {
+                Some(&ri) => ri,
+                None => {
+                    let query = &self.workload.queries()[qi];
+                    let resolved =
+                        resolve_query_demand(&mut *self.cluster, query, self.want_detail)?;
+                    for sd in &resolved.0.shards {
+                        self.shard_endurance[sd.shard] =
+                            self.shard_endurance[sd.shard].max(sd.required_endurance);
+                    }
+                    let ri = self.resolutions.len();
+                    self.resolutions.push(resolved);
+                    self.by_query.insert(key, ri);
+                    ri
                 }
-                self.by_query.insert(key, resolved);
-            }
-            let (demand, merged) = self.by_query.get(&key).expect("resolved above");
-            self.demands[ai] = Some(demand.clone());
-            self.executions[ai] = Some(merged.clone());
+            };
+            self.resolved[ai] = Some(ri);
             let (n_shards, merge_ns) = (self.qd(ai).shards.len(), self.qd(ai).merge_ns);
             let epoch = self.epoch;
             if n_shards == 0 {
@@ -969,7 +939,7 @@ impl<E: StreamEngine> Sim<'_, E> {
         if p.remaining == 0 {
             let merge_ns = self.qd(ai).merge_ns;
             let grant = self.host.acquire(t, merge_ns);
-            self.push_event(grant.end_ns, Ev::MergeDone(ai));
+            self.events.push(grant.end_ns, Ev::MergeDone(ai));
             if merge_ns > 0.0 {
                 if let Some(tracks) = &self.tracks {
                     let host = tracks.host;
@@ -1047,9 +1017,8 @@ impl<E: StreamEngine> Sim<'_, E> {
 
     fn run(mut self) -> Result<StreamOutcome, SchedError> {
         let policy = self.cfg.policy;
-        while let Some(entry) = self.events.pop() {
-            let t = entry.t_ns;
-            match entry.ev {
+        while let Some((t, ev)) = self.events.pop() {
+            match ev {
                 Ev::Arrive(ai) => {
                     self.record(t, EventKind::Arrive, ai, None);
                     if let Some(tracks) = &self.tracks {
@@ -1064,7 +1033,7 @@ impl<E: StreamEngine> Sim<'_, E> {
                     let filter = &self.workload.queries()[qi].filter;
                     self.cand_est[ai] =
                         self.cluster.plan_shards(filter)?.iter().filter(|&&b| b).count();
-                    self.waiting.push(ai);
+                    self.waiting.push_back(ai);
                     self.trace_queue_counters(t);
                     self.try_admit(t)?;
                 }
@@ -1089,10 +1058,10 @@ impl<E: StreamEngine> Sim<'_, E> {
                     }
                     if slice.local_ns > 0.0 {
                         let grant = self.shard_bus[shard].acquire(t, slice.local_ns);
-                        self.push_event(grant.end_ns, Ev::LocalDone(ai, sp, idx));
+                        self.events.push(grant.end_ns, Ev::LocalDone(ai, sp, idx));
                         self.trace_local(ai, sp, idx, grant.start_ns, slice.local_ns);
                     } else {
-                        self.push_event(t, Ev::LocalDone(ai, sp, idx));
+                        self.events.push(t, Ev::LocalDone(ai, sp, idx));
                     }
                 }
                 Ev::LocalDone(ai, sp, idx) => {
@@ -1120,10 +1089,10 @@ impl<E: StreamEngine> Sim<'_, E> {
                     };
                     if slice.local_ns > 0.0 {
                         let grant = self.shard_bus[lane].acquire(t, slice.local_ns);
-                        self.push_event(grant.end_ns, Ev::MutLocalDone(mi, lp, idx));
+                        self.events.push(grant.end_ns, Ev::MutLocalDone(mi, lp, idx));
                         self.trace_mut_local(mi, lp, idx, grant.start_ns, slice.local_ns);
                     } else {
-                        self.push_event(t, Ev::MutLocalDone(mi, lp, idx));
+                        self.events.push(t, Ev::MutLocalDone(mi, lp, idx));
                     }
                 }
                 Ev::MutLocalDone(mi, lp, idx) => {
@@ -1146,9 +1115,9 @@ impl<E: StreamEngine> Sim<'_, E> {
             .chain(self.mutation_completions.iter().map(|c| c.complete_ns))
             .fold(0.0, f64::max);
         let executions = self
-            .executions
-            .into_iter()
-            .map(|e| e.expect("every arrival admits and completes"))
+            .resolved
+            .iter()
+            .map(|ri| self.resolutions[ri.expect("every arrival admits")].1.clone())
             .collect();
         Ok(StreamOutcome {
             policy,
@@ -1241,16 +1210,15 @@ pub fn run_stream_traced<E: StreamEngine>(
         cluster,
         want_detail,
         epoch: 0,
+        resolutions: Vec::new(),
         by_query: HashMap::new(),
-        demands: vec![None; workload.len()],
-        executions: vec![None; workload.len()],
+        resolved: vec![None; workload.len()],
         cand_est: vec![0; workload.len()],
         mut_demands: vec![None; workload.mutation_arrivals().len()],
-        events: BinaryHeap::new(),
-        seq: 0,
+        events: EventQueue::default(),
         host: SharedBus::new(),
         shard_bus: vec![SharedBus::new(); lanes],
-        waiting: Vec::new(),
+        waiting: VecDeque::new(),
         mut_waiting: VecDeque::new(),
         in_flight: 0,
         lane_inflight: vec![0; lanes],
@@ -1268,10 +1236,10 @@ pub fn run_stream_traced<E: StreamEngine>(
         tracks,
     };
     for (ai, arrival) in workload.arrivals().iter().enumerate() {
-        sim.push_event(arrival.at_ns, Ev::Arrive(ai));
+        sim.events.push(arrival.at_ns, Ev::Arrive(ai));
     }
     for (mi, arrival) in workload.mutation_arrivals().iter().enumerate() {
-        sim.push_event(arrival.at_ns, Ev::MutArrive(mi));
+        sim.events.push(arrival.at_ns, Ev::MutArrive(mi));
     }
     sim.run()
 }

@@ -31,14 +31,13 @@
 //! which is why serving needs its own event loop rather than a
 //! precomputed workload trace.
 
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 use bbpim_cluster::ClusterExecution;
 use bbpim_sched::demand::{
     compile_mutation_demand, resolve_query_demand, MutationDemand, QueryDemand, ShardDemand,
 };
-use bbpim_sched::StreamEngine;
+use bbpim_sched::{EventQueue, StreamEngine};
 use bbpim_sim::hostbus::SharedBus;
 use bbpim_trace::{ArgValue, TraceRecorder, TrackId};
 use rand::rngs::StdRng;
@@ -358,35 +357,6 @@ enum Ev {
     MergeDone(usize),
 }
 
-/// Heap entry ordered by (time, insertion sequence) — the sequence
-/// makes simultaneous events deterministic.
-struct HeapEntry {
-    t_ns: f64,
-    seq: u64,
-    ev: Ev,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.t_ns.total_cmp(&other.t_ns) == Ordering::Equal && self.seq == other.seq
-    }
-}
-
-impl Eq for HeapEntry {}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for HeapEntry {
-    /// Reversed so `BinaryHeap` pops the *earliest* event first.
-    fn cmp(&self, other: &Self) -> Ordering {
-        other.t_ns.total_cmp(&self.t_ns).then(other.seq.cmp(&self.seq))
-    }
-}
-
 /// The dynamic window state.
 enum WindowState {
     Static(usize),
@@ -472,8 +442,7 @@ struct Server<'a> {
     submitted: Vec<usize>,
     throttled: Vec<usize>,
     window: WindowState,
-    events: BinaryHeap<HeapEntry>,
-    seq: u64,
+    events: EventQueue<Ev>,
     host: SharedBus,
     shard_bus: Vec<SharedBus>,
     in_flight: usize,
@@ -498,11 +467,6 @@ struct Server<'a> {
 const EST_ALPHA: f64 = 0.3;
 
 impl Server<'_> {
-    fn push_event(&mut self, t_ns: f64, ev: Ev) {
-        self.events.push(HeapEntry { t_ns, seq: self.seq, ev });
-        self.seq += 1;
-    }
-
     fn record(&mut self, t_ns: f64, kind: ServeEventKind, request: usize, shard: Option<usize>) {
         self.timeline.push(ServeTimelineEvent { t_ns, kind, request, shard });
     }
@@ -524,6 +488,16 @@ impl Server<'_> {
         match r.work {
             Work::Query(q) => self.demands[r.tenant][q].0.merge_ns,
             Work::Write(_) => 0.0,
+        }
+    }
+
+    /// The request's busy time across the channel and every module —
+    /// what the fair-share accountant charges its tenant.
+    fn busy_ns(&self, ri: usize) -> f64 {
+        let r = &self.requests[ri];
+        match r.work {
+            Work::Query(q) => self.demands[r.tenant][q].0.total_busy_ns(),
+            Work::Write(w) => self.write_demands[r.tenant][w].total_busy_ns(),
         }
     }
 
@@ -578,7 +552,7 @@ impl Server<'_> {
         });
         self.progress.push(None);
         self.submitted[tenant] += 1;
-        self.push_event(at_ns, Ev::Arrive(ri));
+        self.events.push(at_ns, Ev::Arrive(ri));
     }
 
     /// A closed-loop client learned its request's fate at `now_ns`:
@@ -624,7 +598,7 @@ impl Server<'_> {
     fn schedule_tick(&mut self, at_ns: f64) {
         if !self.next_tick_ns.is_some_and(|t| t <= at_ns) {
             self.next_tick_ns = Some(at_ns);
-            self.push_event(at_ns, Ev::AdmitTick);
+            self.events.push(at_ns, Ev::AdmitTick);
         }
     }
 
@@ -658,7 +632,7 @@ impl Server<'_> {
         let slice = self.chains(ri)[sp].slices[idx];
         if slice.bus_ns > 0.0 {
             let grant = self.host.acquire(now_ns, slice.bus_ns);
-            self.push_event(grant.end_ns, Ev::BusDone(ri, sp, idx));
+            self.events.push(grant.end_ns, Ev::BusDone(ri, sp, idx));
             if let Some(tracks) = &self.tracks {
                 let (host, shard) = (tracks.host, self.chains(ri)[sp].shard);
                 let name = slice.bus_kind.map_or("bus", |k| k.label());
@@ -670,7 +644,7 @@ impl Server<'_> {
             }
             Some(grant.start_ns)
         } else {
-            self.push_event(now_ns, Ev::BusDone(ri, sp, idx));
+            self.events.push(now_ns, Ev::BusDone(ri, sp, idx));
             None
         }
     }
@@ -729,16 +703,8 @@ impl Server<'_> {
                 args.push(("queued_ns", ArgValue::F64(now_ns - self.requests[ri].arrive_ns)));
                 self.trace.instant(serve, "admit", now_ns, args);
             }
-            let (n_shards, busy) = {
-                let chains = self.chains(ri);
-                let slices: f64 = chains
-                    .iter()
-                    .flat_map(|c| c.slices.iter())
-                    .map(|s| s.bus_ns + s.local_ns)
-                    .sum();
-                (chains.len(), slices + self.merge_ns(ri))
-            };
-            self.served_work[t] += busy;
+            let n_shards = self.chains(ri).len();
+            self.served_work[t] += self.busy_ns(ri);
             if n_shards == 0 {
                 // The planner answered the query: nothing to dispatch,
                 // the (empty) merge is free, the slot never fills.
@@ -851,7 +817,7 @@ impl Server<'_> {
         if p.remaining == 0 {
             let merge_ns = self.merge_ns(ri);
             let grant = self.host.acquire(t, merge_ns);
-            self.push_event(grant.end_ns, Ev::MergeDone(ri));
+            self.events.push(grant.end_ns, Ev::MergeDone(ri));
             if merge_ns > 0.0 {
                 if let Some(tracks) = &self.tracks {
                     let host = tracks.host;
@@ -885,9 +851,8 @@ impl Server<'_> {
     fn run(mut self) -> ServeOutcome {
         self.window_trajectory.push((0.0, self.window.window()));
         self.trace_counters(0.0);
-        while let Some(entry) = self.events.pop() {
-            let t = entry.t_ns;
-            match entry.ev {
+        while let Some((t, ev)) = self.events.pop() {
+            match ev {
                 Ev::Arrive(ri) => {
                     let tenant = self.requests[ri].tenant;
                     let eligible = match &mut self.buckets[tenant] {
@@ -925,10 +890,10 @@ impl Server<'_> {
                     }
                     if slice.local_ns > 0.0 {
                         let grant = self.shard_bus[shard].acquire(t, slice.local_ns);
-                        self.push_event(grant.end_ns, Ev::LocalDone(ri, sp, idx));
+                        self.events.push(grant.end_ns, Ev::LocalDone(ri, sp, idx));
                         self.trace_local(ri, sp, idx, grant.start_ns, slice.local_ns);
                     } else {
-                        self.push_event(t, Ev::LocalDone(ri, sp, idx));
+                        self.events.push(t, Ev::LocalDone(ri, sp, idx));
                     }
                 }
                 Ev::LocalDone(ri, sp, idx) => {
@@ -1093,8 +1058,7 @@ pub fn run_serve_traced<E: StreamEngine>(
         submitted: vec![0; n],
         throttled: vec![0; n],
         window,
-        events: BinaryHeap::new(),
-        seq: 0,
+        events: EventQueue::default(),
         host: SharedBus::new(),
         shard_bus: vec![SharedBus::new(); lanes],
         in_flight: 0,
